@@ -119,14 +119,50 @@ def _single_periodic(m: AbelianMonopole) -> DiracTerm:
     return m.terms[0]
 
 
-def _bessel_sum_terms(r: float, tol: float) -> int:
-    """Series length with r K1 tail below tol (same geometric decay as K0)."""
-    M = 4
-    while M < 200_000:
-        if r * specfn.bessel_k1((M + 1) * r) / (math.pi * (1.0 - math.exp(-r))) <= tol:
-            return M
-        M *= 2
+#: Truncation tolerance of the grid fields: the rounding level of O(1) fields.
+_GRID_TOL = 1e-15
+
+
+def _bessel_modes(r: float, tol: float) -> int:
+    """Smallest M >= 1 with r K1 tail r K1((M+1) r)/(pi (1 - e^{-r})) <= tol.
+
+    The tail bounds sum_{m>M} r K1(m r)/pi because e^x K1(x) decreases, so
+    K1((m+1) r) <= e^{-r} K1(m r). It decreases in r, and for r >= 1 it also
+    bounds the K0 tail of the Higgs series, since K0 < K1."""
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    pref = r / (math.pi * (1.0 - math.exp(-r)))
+    M = 1
+    while pref * specfn.bessel_k1((M + 1) * r) > tol:
+        M += 1
     return M
+
+
+def _term_factors(term: DiracTerm, dz: np.ndarray, dt: np.ndarray, tol: float):
+    """Rank-(M+1) factors of one periodic term at planar offsets dz (n,) and
+    circle offsets dt (nt,), every |dz| = r >= 2:
+
+        phi     = k log r/(2 pi) - (k/pi) sum_m K0(m r) cos(m dt)   = f_phi @ g_phi,
+        a_theta = k (1/2 - dt/(2 pi)) - (k r/pi) sum_m K1(m r) sin(m dt) = f_theta @ g_theta,
+
+    with f_* of shape (n, M+1) and g_* of shape (M+1, nt). M is sized from
+    the r K1 tail at the smallest r, so both truncation errors are <= tol.
+    """
+    k = term.charge
+    r = np.abs(dz)
+    M = _bessel_modes(float(r.min()), tol / abs(k))
+    ms = np.arange(1, M + 1, dtype=float)
+    mr = np.multiply.outer(r, ms)
+    f_phi = np.empty((r.size, M + 1))
+    f_phi[:, 0] = (k / TWO_PI) * np.log(r)
+    f_phi[:, 1:] = (-k / math.pi) * specfn.bessel_k0(mr)
+    f_theta = np.empty((r.size, M + 1))
+    f_theta[:, 0] = k
+    f_theta[:, 1:] = specfn.bessel_k1(mr) * ((-k / math.pi) * r)[:, None]
+    mt = np.multiply.outer(ms, dt)
+    g_phi = np.vstack([np.ones_like(dt), np.cos(mt)])
+    g_theta = np.vstack([0.5 - dt / TWO_PI, np.sin(mt)])
+    return f_phi, f_theta, g_phi, g_theta
 
 
 def connection_radial_gauge(m: AbelianMonopole, p: CirclePoint3,
@@ -136,7 +172,8 @@ def connection_radial_gauge(m: AbelianMonopole, p: CirclePoint3,
     a_theta = k [ -dt/(2 pi) + 1/2 - (r/pi) sum_m K1(m r) sin(m dt) ],
     a_t = b, in polar coordinates centred at the singularity; the Bessel sum
     is the closed form of -int_r^inf r' d_t psi dr' with
-    int_r^inf r' K0(m r') dr' = (r/m) K1(m r).
+    int_r^inf r' K0(m r') dr' = (r/m) K1(m r). The Higgs value is the
+    Fourier-Bessel series of the same term, also truncated within tol.
     """
     term = _single_periodic(m)
     dz = p.z - term.center.z
@@ -144,12 +181,9 @@ def connection_radial_gauge(m: AbelianMonopole, p: CirclePoint3,
     if r < 2.0:
         raise OutOfRegimeError(f"radial gauge requires r >= 2, got r={r}")
     dt = reduce_angle_signed(p.t - term.center.t)
-    M = _bessel_sum_terms(r, tol / max(abs(term.charge), 1))
-    k_arr = np.arange(1, M + 1, dtype=float)
-    s = float(np.sum(specfn.bessel_k1(k_arr * r) * np.sin(k_arr * dt)))
-    a_theta = term.charge * (-dt / TWO_PI + 0.5 - (r / math.pi) * s)
-    h = higgs(m, p, tol)
-    return FieldSample(h, a_theta, m.b, "exterior")
+    f_phi, f_theta, g_phi, g_theta = _term_factors(term, np.array([dz]), np.array([dt]), tol)
+    h = m.v + (f_phi @ g_phi).item()
+    return FieldSample(h, (f_theta @ g_theta).item(), m.b, "exterior")
 
 
 def translated_asymptotics(m: AbelianMonopole, p: CirclePoint3,
@@ -178,19 +212,24 @@ def translated_asymptotics(m: AbelianMonopole, p: CirclePoint3,
     return FieldSample(h, a_theta, a_t, "exterior")
 
 
+def _holonomy_phase(m: AbelianMonopole, z: np.ndarray) -> np.ndarray:
+    """2 pi b + sum_j k_j theta_j(z) over the periodic terms, elementwise in z."""
+    phase = np.full(z.shape, TWO_PI * m.b)
+    for term in m.terms:
+        if term.kind is not Kind.PERIODIC:
+            continue
+        dz = z - term.center.z
+        if np.any(dz == 0):
+            raise SingularPointError("holonomy undefined through a singular center")
+        phase += term.charge * np.arctan2(dz.imag, dz.real)
+    return phase
+
+
 def holonomy(m: AbelianMonopole, z: complex, tol: float = 1e-12) -> complex:
     """Holonomy of the connection around the fiber {z} x S^1:
     exp(-i sum_j k_j theta_j(z) - 2 pi i b), theta_j the principal angle of
     z - z_j. Euclidean terms carry no fiber holonomy."""
-    phase = TWO_PI * m.b
-    for term in m.terms:
-        if term.kind is not Kind.PERIODIC:
-            continue
-        dz = complex(z) - term.center.z
-        if dz == 0:
-            raise SingularPointError("holonomy undefined through a singular center")
-        phase += term.charge * math.atan2(dz.imag, dz.real)
-    return cmath.exp(-1j * phase)
+    return cmath.exp(-1j * float(_holonomy_phase(m, np.array(complex(z)))))
 
 
 def _flux_through_fiber(r: float, dt_nodes: np.ndarray, M: int) -> float:
@@ -229,8 +268,7 @@ def winding_number(m: AbelianMonopole, radius: float, n_samples: int = 720) -> i
     """Integer winding of arg(holonomy) as z runs once around a circle that
     encloses every periodic center; equals minus the total periodic charge."""
     angles = np.linspace(0.0, TWO_PI, n_samples + 1)
-    hols = [holonomy(m, radius * cmath.exp(1j * a)) for a in angles]
-    arg = np.unwrap(np.angle(hols))
+    arg = np.unwrap(-_holonomy_phase(m, radius * np.exp(1j * angles)))
     turns = (arg[-1] - arg[0]) / TWO_PI
     w = round(turns)
     if abs(turns - w) > 1e-9:
@@ -263,38 +301,38 @@ def euclidean_limit_profile(r: float, t: float) -> float:
     return 1.0 - 0.5 / math.hypot(r, t)
 
 
-def _grid_fields(m: AbelianMonopole, X: np.ndarray, Y: np.ndarray, T: np.ndarray,
-                 h: float, M: int = 24):
-    """phi and (a_x, a_y, a_t) on the tensor grid; periodic terms only."""
-    shape = (X.size, Y.size, T.size)
-    phi = np.full(shape, m.v)
-    a_x = np.zeros(shape)
-    a_y = np.zeros(shape)
-    a_t = np.full(shape, m.b)
+def _grid_fields(m: AbelianMonopole, X: np.ndarray, Y: np.ndarray, T: np.ndarray, h: float):
+    """phi, a_x and a_y on the tensor grid; periodic terms only.
+
+    Each field is one matrix product of the concatenated (nx ny, M+1) and
+    (M+1, nt) factors of all terms, with the constant v as one more column
+    of phi; a_t = b is constant and has no differences."""
+    Z = (X[:, None] + 1j * Y[None, :]).ravel()
+    f_phi, g_phi = [np.full((Z.size, 1), m.v)], [np.ones((1, T.size))]
+    # empty blocks keep the products defined for the vacuum
+    f_x, f_y, g_a = [np.empty((Z.size, 0))], [np.empty((Z.size, 0))], [np.empty((0, T.size))]
     for term in m.terms:
         if term.kind is not Kind.PERIODIC:
             raise ValueError("grid residual supports periodic terms only")
-        dx = (X - term.center.z.real)[:, None, None]
-        dy = (Y - term.center.z.imag)[None, :, None]
-        dt_1d = np.array([reduce_angle_signed(t - term.center.t) for t in T])
-        if np.any(np.abs(np.abs(dt_1d) - math.pi) < 4.0 * h):
+        dt = np.array([reduce_angle_signed(t - term.center.t) for t in T])
+        if np.any(np.abs(np.abs(dt) - math.pi) < 4.0 * h):
             raise OutOfRegimeError("box crosses the radial-gauge seam dt = pi")
-        dt = dt_1d[None, None, :]
-        r = np.sqrt(dx * dx + dy * dy)
-        if np.min(r) < 2.0:
+        dz = Z - term.center.z
+        r2 = dz.real * dz.real + dz.imag * dz.imag
+        if np.min(r2) < 4.0:
             raise OutOfRegimeError("grid extends below the radial-gauge region r >= 2")
-        ks = np.arange(1, M + 1, dtype=float)
-        k0 = specfn.bessel_k0(np.multiply.outer(r[..., 0], ks))  # (nx, ny, M)
-        k1 = specfn.bessel_k1(np.multiply.outer(r[..., 0], ks))
-        cos_t = np.cos(np.outer(ks, dt_1d))  # (M, nt)
-        sin_t = np.sin(np.outer(ks, dt_1d))
-        psi = -np.einsum("xym,mt->xyt", k0, cos_t) / math.pi
-        bsum = np.einsum("xym,mt->xyt", k1, sin_t)
-        phi += term.charge * (np.log(r) / TWO_PI + psi)
-        a_theta = term.charge * (-dt / TWO_PI + 0.5 - (r / math.pi) * bsum)
-        a_x += a_theta * (-dy) / (r * r)
-        a_y += a_theta * dx / (r * r)
-    return phi, a_x, a_y, a_t
+        fp, ft, gp, ga = _term_factors(term, dz, dt, _GRID_TOL)
+        f_phi.append(fp)
+        g_phi.append(gp)
+        f_x.append(ft * (-dz.imag / r2)[:, None])
+        f_y.append(ft * (dz.real / r2)[:, None])
+        g_a.append(ga)
+    shape = (X.size, Y.size, T.size)
+    g_a = np.vstack(g_a)
+    phi = (np.hstack(f_phi) @ np.vstack(g_phi)).reshape(shape)
+    a_x = (np.hstack(f_x) @ g_a).reshape(shape)
+    a_y = (np.hstack(f_y) @ g_a).reshape(shape)
+    return phi, a_x, a_y
 
 
 def bogomolny_residual(m: AbelianMonopole, box, h: float) -> float:
@@ -317,17 +355,18 @@ def bogomolny_residual(m: AbelianMonopole, box, h: float) -> float:
         )
         if dmin < 4.0 * h:
             raise OutOfRegimeError("grid region too close to a singular center")
-    phi, a_x, a_y, a_t = _grid_fields(m, X, Y, T, h)
+    phi, a_x, a_y = _grid_fields(m, X, Y, T, h)
 
     def d(f, axis):
+        """Central difference times 2h at the interior nodes."""
         sl = [slice(1, -1)] * 3
         lo = list(sl)
         hi = list(sl)
         lo[axis] = slice(0, -2)
         hi[axis] = slice(2, None)
-        return (f[tuple(hi)] - f[tuple(lo)]) / (2.0 * h)
+        return f[tuple(hi)] - f[tuple(lo)]
 
-    res_x = d(a_t, 1) - d(a_y, 2) - d(phi, 0)
-    res_y = d(a_x, 2) - d(a_t, 0) - d(phi, 1)
+    res_x = -d(a_y, 2) - d(phi, 0)
+    res_y = d(a_x, 2) - d(phi, 1)
     res_t = d(a_y, 0) - d(a_x, 1) - d(phi, 2)
-    return float(np.sqrt(res_x**2 + res_y**2 + res_t**2).max())
+    return float(np.sqrt((res_x**2 + res_y**2 + res_t**2).max())) / (2.0 * h)

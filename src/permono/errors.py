@@ -13,10 +13,6 @@ class ExceptionalWeightError(ValueError):
     """Weight coincides with an indicial root; the model problem is degenerate."""
 
 
-class InvalidBoundaryDataError(ValueError):
-    """Boundary-condition parameters violate the charge/parity/positivity rules."""
-
-
 class CoercivityError(ValueError):
     """Nonpositive coercivity constant supplied to a screened solver."""
 
@@ -35,7 +31,3 @@ class UnderResolvedError(RuntimeError):
 
 class ResolutionTooLowError(RuntimeError):
     """Discretized spectrum has not converged at the requested resolution."""
-
-
-class LambdaTooSmallError(RuntimeError):
-    """Patching mass too small: the Higgs field dips below lambda/2 on the annulus."""

@@ -148,6 +148,8 @@ def lift_form(a, psi: float, p: Quat4Point) -> LiftedForm:
 
 
 def _chart(p: Quat4Point, chart: str) -> str:
+    if chart not in ("+", "-", "auto"):
+        raise ValueError(f"chart must be '+', '-' or 'auto', got {chart!r}")
     r1, r2 = abs(p.z1), abs(p.z2)
     if r1 < _AXIS_EPS and r2 < _AXIS_EPS:
         raise OutOfRegimeError("point too close to the origin of the 4-ball")
@@ -172,8 +174,7 @@ def _dtheta2(p: Quat4Point) -> np.ndarray:
     return np.array([0.0, 0.0, -x4, x3]) / r2
 
 
-def lift_dirac_connection(k: int, mass: float, p: Quat4Point,
-                          chart: str = "auto") -> LiftedForm:
+def lift_dirac_connection(k: int, mass: float, p: Quat4Point, chart: str) -> LiftedForm:
     """u(1) coefficient of the lifted charge-k, mass `mass` Dirac monopole:
 
         w = k (half-angle profile) (dtheta1 + dtheta2) + (k - 2 rho mass) theta0,
@@ -183,7 +184,13 @@ def lift_dirac_connection(k: int, mass: float, p: Quat4Point,
     mass 0 the form equals k dtheta1 (chart +) so the connection is flat; the
     mass term contributes the constant anti-self-dual curvature
     -4 mass (dx12 - dx34).
+
+    The chart is '+' or '-' and has no automatic choice: a form differenced
+    over a stencil must keep one gauge at every stencil point, and a
+    per-point choice switches gauge where |z1| = |z2| crosses the stencil.
     """
+    if chart not in ("+", "-"):
+        raise ValueError(f"chart must be '+' or '-', got {chart!r}")
     chart = _chart(p, chart)
     rho = p.rho
     r1sq, r2sq = abs(p.z1) ** 2, abs(p.z2) ** 2
@@ -251,13 +258,6 @@ def curvature_norm_sq_lifted(F: np.ndarray) -> float:
 def dirac_curvature_analytic(mass: float) -> np.ndarray:
     """Exact curvature of the lifted Dirac connection: -4 mass (dx12 - dx34)."""
     return np.array([-4.0 * mass, 0.0, 0.0, 0.0, 0.0, 4.0 * mass])
-
-
-def base_curvature_norms(k: int, mass: float, rho: float) -> tuple[float, float]:
-    """(|F_A|^2, |d_A Phi|^2) of the charge-k mass `mass` Dirac monopole on the
-    base, at distance rho: both equal (k/(2 rho^2))^2."""
-    g = (k / (2.0 * rho * rho)) ** 2
-    return g, g
 
 
 def lifted_curvature_norm_expected(k: int, mass: float, rho: float) -> float:

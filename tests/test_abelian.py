@@ -67,6 +67,59 @@ def test_higgs_additivity_over_terms():
     )
 
 
+def three_term_monopole():
+    terms = [
+        DiracTerm(ORIGIN, 2),
+        DiracTerm(CirclePoint3(0.9 + 0.6j, 0.3), -1),
+        DiracTerm(CirclePoint3(-0.7 - 0.8j, TWO_PI - 0.2), 1),
+    ]
+    return AbelianMonopole(terms, v=1.0, b=0.25)
+
+
+def test_higgs_gradient_matches_central_differences():
+    m = three_term_monopole()
+    tol, step = 1e-12, 1e-4
+    far = CirclePoint3(2.5 + 1.5j, 1.0)
+    near = CirclePoint3(0.9 + 0.6j + (0.2 + 0.1j), 0.6)
+
+    def regimes(p):
+        return {green.green_eval(p, term.center, tol).regime for term in m.terms}
+
+    assert regimes(far) == {green.Regime.FOURIER_BESSEL}
+    assert green.Regime.IMAGE_SUM in regimes(near)
+    for p in (far, near):
+        got = abelian.higgs_gradient(m, p, tol)
+        fd = []
+        for e in (1.0, 1j):
+            up = abelian.higgs(m, CirclePoint3(p.z + step * e, p.t), tol)
+            dn = abelian.higgs(m, CirclePoint3(p.z - step * e, p.t), tol)
+            fd.append((up - dn) / (2 * step))
+        up = abelian.higgs(m, CirclePoint3(p.z, p.t + step), tol)
+        dn = abelian.higgs(m, CirclePoint3(p.z, p.t - step), tol)
+        fd.append((up - dn) / (2 * step))
+        assert np.abs(got - np.array(fd)).max() <= 1e-6 * (1.0 + np.abs(got).max())
+
+
+def test_grid_fields_match_pointwise_fields():
+    # the matrix-product assembly against the pointwise series, at seeded nodes
+    X = np.arange(3.2, 4.0, 0.1)
+    Y = np.arange(-1.0, 1.0, 0.1)
+    T = np.arange(-1.5, 1.5, 0.1)
+    rng = np.random.default_rng(7)
+    nodes = list(zip(*(rng.integers(0, n, 12) for n in (X.size, Y.size, T.size))))
+    m = three_term_monopole()
+    phi, _, _ = abelian._grid_fields(m, X, Y, T, 0.1)
+    single = AbelianMonopole([DiracTerm(CirclePoint3(0.9 + 0.6j, 0.3), -1)], v=1.0, b=0.25)
+    _, a_x, a_y = abelian._grid_fields(single, X, Y, T, 0.1)
+    for i, j, k in nodes:
+        p = CirclePoint3(complex(X[i], Y[j]), T[k])
+        assert abs(phi[i, j, k] - abelian.higgs(m, p, 1e-13)) <= 1e-12
+        dz = p.z - single.terms[0].center.z
+        a_theta = dz.real * a_y[i, j, k] - dz.imag * a_x[i, j, k]
+        want = abelian.connection_radial_gauge(single, p, tol=1e-14).a_theta
+        assert abs(a_theta - want) <= 1e-12
+
+
 def test_radial_gauge_requires_single_term_and_exterior():
     m = unit_monopole()
     with pytest.raises(OutOfRegimeError):
@@ -169,6 +222,12 @@ def test_winding_matches_total_charge():
         assert expect == -m.total_periodic_charge
 
 
+def test_winding_rejects_circle_through_center():
+    m = unit_monopole(center=CirclePoint3(2.0, 0.0))
+    with pytest.raises(SingularPointError):
+        abelian.winding_number(m, 2.0)
+
+
 def test_translated_asymptotics_reduces_at_centered():
     m = unit_monopole(v=0.7, b=0.1)
     p = CirclePoint3(20.0, 1.0)
@@ -244,6 +303,15 @@ def test_bogomolny_second_order_and_linearity():
     )
     rp = abelian.bogomolny_residual(pair, box, 0.05)
     assert rp <= 4.0 * r1  # same order: the equation is linear in the fields
+
+
+def test_bogomolny_second_order_near_gauge_boundary():
+    # smallest r just above 2, where the mode count of the grid is largest
+    box = ((2.02, 2.62), (0.0, 0.6), (1.0, 1.6))
+    m = unit_monopole(v=1.0, b=0.3)
+    r1 = abelian.bogomolny_residual(m, box, 0.05)
+    r2 = abelian.bogomolny_residual(m, box, 0.025)
+    assert 3.5 <= r1 / r2 <= 4.5
 
 
 def test_bogomolny_region_guards():

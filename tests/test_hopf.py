@@ -23,6 +23,12 @@ def rand_points(n, seed, lo=0.25, hi=1.2):
     return pts
 
 
+def base_chart(p):
+    """The chart singular_gauge_phase(chart='auto') picks at p, held fixed
+    over a whole stencil."""
+    return "+" if abs(p.z1) >= abs(p.z2) else "-"
+
+
 def test_projection_poles_and_norm_identity():
     assert np.allclose(hopf.hopf_project(Quat4Point(1, 0)), [1.0, 0.0, 0.0])
     assert np.allclose(hopf.hopf_project(Quat4Point(0, 1)), [-1.0, 0.0, 0.0])
@@ -115,7 +121,7 @@ def test_flatness_residual_second_order():
     p = Quat4Point(0.6 - 0.3j, 0.5 + 0.4j)
     errs = []
     for h in (0.02, 0.01, 0.005):
-        F = hopf.curvature_fd(lambda q: hopf.lift_dirac_connection(1, 0.0, q), p, h)
+        F = hopf.curvature_fd(lambda q: hopf.lift_dirac_connection(1, 0.0, q, base_chart(p)), p, h)
         errs.append(float(np.abs(F).max()))
     assert 1.8 <= math.log2(errs[0] / errs[1]) <= 2.2
     assert 1.8 <= math.log2(errs[1] / errs[2]) <= 2.2
@@ -129,7 +135,9 @@ def test_asd_residual_second_order(mass):
     for h in hs:
         worst = 0.0
         for p in pts:
-            F = hopf.curvature_fd(lambda q: hopf.lift_dirac_connection(1, mass, q), p, h)
+            F = hopf.curvature_fd(
+                lambda q: hopf.lift_dirac_connection(1, mass, q, base_chart(p)), p, h
+            )
             worst = max(worst, hopf.self_dual_part_norm(F))
         res.append(worst)
     slope = np.polyfit(np.log2(hs), np.log2(res), 1)[0]
@@ -140,7 +148,7 @@ def test_curvature_matches_analytic_constant():
     for p in rand_points(5, seed=50):
         for mass in (0.5, 2.0):
             F = hopf.curvature_richardson(
-                lambda q: hopf.lift_dirac_connection(1, mass, q), p, 1e-2
+                lambda q: hopf.lift_dirac_connection(1, mass, q, base_chart(p)), p, 1e-2
             )
             assert np.abs(F - hopf.dirac_curvature_analytic(mass)).max() <= 1e-9
             got = hopf.curvature_norm_sq_lifted(F)
@@ -169,4 +177,27 @@ def test_axis_rejection():
     with pytest.raises(OutOfRegimeError):
         hopf.lift_dirac_connection(1, 0.0, Quat4Point(0.0, 1.0), chart="+")
     with pytest.raises(OutOfRegimeError):
-        hopf.lift_dirac_connection(1, 0.0, Quat4Point(1e-9, 1e-9))
+        hopf.lift_dirac_connection(1, 0.0, Quat4Point(1e-9, 1e-9), chart="+")
+
+
+def test_lift_chart_is_explicit():
+    p = Quat4Point(0.8, 0.3j)
+    for chart in ("auto", "x"):
+        with pytest.raises(ValueError):
+            hopf.lift_dirac_connection(1, 1.0, p, chart)
+    with pytest.raises(ValueError):
+        hopf.singular_gauge_phase(1, p, chart="x")
+    assert hopf.singular_gauge_phase(1, p, chart="auto") == hopf.singular_gauge_phase(1, p, chart="+")
+
+
+@pytest.mark.parametrize("mass", [0.5, 2.0])
+def test_curvature_across_equal_moduli(mass):
+    # ||z1| - |z2|| = 1e-3 < h: the stencil straddles |z1| = |z2|, where a
+    # per-point chart choice would switch gauge inside it
+    p = Quat4Point(0.972 * np.exp(0.3j), 0.971 * np.exp(-1.1j))
+    h = 1e-2
+    assert abs(abs(p.z1) - abs(p.z2)) < h
+    for chart in ("+", "-"):
+        F = hopf.curvature_richardson(lambda q: hopf.lift_dirac_connection(1, mass, q, chart), p, h)
+        assert hopf.self_dual_part_norm(F) <= 1e-9
+        assert np.abs(F - hopf.dirac_curvature_analytic(mass)).max() <= 1e-9
