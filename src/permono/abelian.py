@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import green, specfn
+from . import green
 from .errors import OutOfRegimeError, SingularPointError
 from .green import ORIGIN, CirclePoint3, reduce_angle_signed
 
@@ -80,14 +80,19 @@ class FieldSample:
     gauge_chart: str = "exterior"
 
 
+def _periodic_terms(m: AbelianMonopole) -> list[DiracTerm]:
+    return [t for t in m.terms if t.kind is Kind.PERIODIC]
+
+
 def higgs(m: AbelianMonopole, p: CirclePoint3, tol: float = 1e-10) -> float:
     """v + sum of charge-weighted Green's/Coulomb profiles at p."""
     val = m.v
     n = max(len(m.terms), 1)
+    periodic = _periodic_terms(m)
+    for term, g in zip(periodic, green.green_eval_many(p, [t.center for t in periodic], tol / n)):
+        val += term.charge * g.value
     for term in m.terms:
-        if term.kind is Kind.PERIODIC:
-            val += term.charge * green.green_eval(p, term.center, tol / n).value
-        else:
+        if term.kind is Kind.EUCLIDEAN:
             rho = p.distance(term.center)
             if rho == 0.0:
                 raise SingularPointError("Higgs field evaluated at a singular center")
@@ -99,10 +104,11 @@ def higgs_gradient(m: AbelianMonopole, p: CirclePoint3, tol: float = 1e-10) -> n
     """Gradient (d/dx, d/dy, d/dt) of the Higgs field at p."""
     out = np.zeros(3)
     n = max(len(m.terms), 1)
+    periodic = _periodic_terms(m)
+    for term, g in zip(periodic, green.green_eval_many(p, [t.center for t in periodic], tol / n)):
+        out += term.charge * g.grad
     for term in m.terms:
-        if term.kind is Kind.PERIODIC:
-            out += term.charge * green.green_eval(p, term.center, tol / n).grad
-        else:
+        if term.kind is Kind.EUCLIDEAN:
             dx = p.z.real - term.center.z.real
             dy = p.z.imag - term.center.z.imag
             dt = reduce_angle_signed(p.t - term.center.t)
@@ -123,21 +129,6 @@ def _single_periodic(m: AbelianMonopole) -> DiracTerm:
 _GRID_TOL = 1e-15
 
 
-def _bessel_modes(r: float, tol: float) -> int:
-    """Smallest M >= 1 with r K1 tail r K1((M+1) r)/(pi (1 - e^{-r})) <= tol.
-
-    The tail bounds sum_{m>M} r K1(m r)/pi because e^x K1(x) decreases, so
-    K1((m+1) r) <= e^{-r} K1(m r). It decreases in r, and for r >= 1 it also
-    bounds the K0 tail of the Higgs series, since K0 < K1."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    pref = r / (math.pi * (1.0 - math.exp(-r)))
-    M = 1
-    while pref * specfn.bessel_k1((M + 1) * r) > tol:
-        M += 1
-    return M
-
-
 def _term_factors(term: DiracTerm, dz: np.ndarray, dt: np.ndarray, tol: float):
     """Rank-(M+1) factors of one periodic term at planar offsets dz (n,) and
     circle offsets dt (nt,), every |dz| = r >= 2:
@@ -145,21 +136,22 @@ def _term_factors(term: DiracTerm, dz: np.ndarray, dt: np.ndarray, tol: float):
         phi     = k log r/(2 pi) - (k/pi) sum_m K0(m r) cos(m dt)   = f_phi @ g_phi,
         a_theta = k (1/2 - dt/(2 pi)) - (k r/pi) sum_m K1(m r) sin(m dt) = f_theta @ g_theta,
 
-    with f_* of shape (n, M+1) and g_* of shape (M+1, nt). M is sized from
-    the r K1 tail at the smallest r, so both truncation errors are <= tol.
+    with f_* of shape (n, M+1) and g_* of shape (M+1, nt), M the largest
+    count. Each node keeps its own count, sized from its r K1 tail, and its
+    columns beyond it are 0; for r >= 1 that tail also bounds the K0 tail of
+    phi (K0 < K1), so both truncation errors are <= tol at every node.
     """
     k = term.charge
     r = np.abs(dz)
-    M = _bessel_modes(float(r.min()), tol / abs(k))
-    ms = np.arange(1, M + 1, dtype=float)
-    mr = np.multiply.outer(r, ms)
+    _, k0, k1, _ = green.bessel_modes(r, tol / abs(k), 1)
+    M = k0.shape[1]
     f_phi = np.empty((r.size, M + 1))
     f_phi[:, 0] = (k / TWO_PI) * np.log(r)
-    f_phi[:, 1:] = (-k / math.pi) * specfn.bessel_k0(mr)
+    f_phi[:, 1:] = (-k / math.pi) * k0
     f_theta = np.empty((r.size, M + 1))
     f_theta[:, 0] = k
-    f_theta[:, 1:] = specfn.bessel_k1(mr) * ((-k / math.pi) * r)[:, None]
-    mt = np.multiply.outer(ms, dt)
+    f_theta[:, 1:] = k1 * ((-k / math.pi) * r)[:, None]
+    mt = np.multiply.outer(np.arange(1, M + 1, dtype=float), dt)
     g_phi = np.vstack([np.ones_like(dt), np.cos(mt)])
     g_theta = np.vstack([0.5 - dt / TWO_PI, np.sin(mt)])
     return f_phi, f_theta, g_phi, g_theta
@@ -232,12 +224,15 @@ def holonomy(m: AbelianMonopole, z: complex, tol: float = 1e-12) -> complex:
     return cmath.exp(-1j * float(_holonomy_phase(m, np.array(complex(z)))))
 
 
-def _flux_through_fiber(r: float, dt_nodes: np.ndarray, M: int) -> float:
-    """Trapezoid value of the circle integral of r * d_r G over {r} x S^1."""
-    k = np.arange(1, M + 1, dtype=float)
-    k1 = specfn.bessel_k1(k * r)
-    g_r = 1.0 / (TWO_PI * r) + (k1 * k) @ np.cos(np.outer(k, dt_nodes)) / math.pi
-    return float(np.mean(g_r) * TWO_PI * r)
+def _flux_through_fiber(r: np.ndarray, dt_nodes: np.ndarray) -> np.ndarray:
+    """Trapezoid values of the circle integrals of r * d_r G over the fibers
+    {r_j} x S^1, at circle offsets dt_nodes (n, nt); the series is truncated
+    at its r K1 tail 1e-13."""
+    _, _, k1, _ = green.bessel_modes(r, 1e-13, 1)
+    k = np.arange(1, k1.shape[1] + 1, dtype=float)
+    cos = np.cos(k[None, :, None] * dt_nodes[:, None, :])
+    g_r = 1.0 / (TWO_PI * r)[:, None] + np.einsum("jk,jkt->jt", k1 * k, cos) / math.pi
+    return np.mean(g_r, axis=1) * TWO_PI * r
 
 
 def holonomy_integral(m: AbelianMonopole, z: complex, n_circle: int = 128) -> complex:
@@ -248,19 +243,14 @@ def holonomy_integral(m: AbelianMonopole, z: complex, n_circle: int = 128) -> co
     the arc integral from each term's reference ray collapses to
     flux * theta. A correct quadrature must return flux = 1 per unit charge,
     which is exactly what the comparison with the closed form verifies."""
-    phase = TWO_PI * m.b
+    periodic = _periodic_terms(m)
+    dz = complex(z) - np.array([t.center.z for t in periodic], dtype=complex)
+    if np.any(dz == 0):
+        raise SingularPointError("holonomy undefined through a singular center")
     ts = np.arange(n_circle) * TWO_PI / n_circle
-    for term in m.terms:
-        if term.kind is not Kind.PERIODIC:
-            continue
-        dz = complex(z) - term.center.z
-        r = abs(dz)
-        if r == 0.0:
-            raise SingularPointError("holonomy undefined through a singular center")
-        theta = math.atan2(dz.imag, dz.real)
-        M = green.fourier_terms_for(r, 1e-13)
-        flux = _flux_through_fiber(r, ts - term.center.t, M)
-        phase += term.charge * flux * theta
+    flux = _flux_through_fiber(np.abs(dz), ts - np.array([t.center.t for t in periodic])[:, None])
+    charge = np.array([t.charge for t in periodic], dtype=float)
+    phase = TWO_PI * m.b + float(np.sum(charge * flux * np.angle(dz)))
     return cmath.exp(-1j * phase)
 
 

@@ -13,10 +13,25 @@ G is evaluated in three regimes that cover the punctured space:
 
 Every evaluation returns the value, the gradient (d/dx, d/dy, d/dt) and the
 certified truncation bound of the value for the regime used.
+
+Every Fourier-Bessel sum of the package (G here; the grid fields, the radial
+gauge and the fiber flux in ``abelian``) takes its radial factors from one
+kernel, ``bessel_modes``. It sizes each row in closed form: M is the smallest
+count with pref(r) r^nu Kmaj_nu((M+1) r) <= tol, pref(r) = 1/(pi (1 - e^{-r})),
+where the majorants
+
+    K0(x) <= sqrt(pi/2x) e^{-x},    K1(x) <= sqrt(pi/2x) e^{-x} (1 + 3/(8x))
+
+hold for every x > 0 because the remainder of the Hankel expansion after
+l >= nu - 1/2 terms has the sign of the first neglected term (DLMF 10.40(ii));
+that term is -1/(8x) for K0 and -15/(128 x^2) relative for K1. The certified
+bound reported is the tail with the true K_nu((M+1) r), never above the
+majorant, so it is <= tol.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -79,6 +94,8 @@ class CirclePoint3:
 
     def __post_init__(self):
         self.z = complex(self.z)
+        if not (cmath.isfinite(self.z) and math.isfinite(self.t)):
+            raise ValueError(f"point coordinates must be finite, got z={self.z}, t={self.t}")
         self.t = reduce_angle(self.t)
 
     def distance(self, other: "CirclePoint3") -> float:
@@ -154,40 +171,109 @@ def green_image_sum(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 1000) ->
     return GreenEval(value, np.array([gx, gy, gt]), bound, Regime.IMAGE_SUM, terms=M)
 
 
-def fourier_terms_for(r: float, tol: float) -> int:
-    """Smallest M with K0((M+1) r)/(pi (1 - e^{-r})) <= tol."""
-    if r <= 0.0:
+def k_majorant(x, nu: int):
+    """Closed-form upper bound of K_nu(x), nu in {0, 1}, x > 0 (DLMF 10.40(ii)):
+    sqrt(pi/2x) e^{-x}, times (1 + 3/(8x)) for K1."""
+    x = np.asarray(x, dtype=float)
+    lead = np.sqrt(math.pi / (2.0 * x)) * np.exp(-x)
+    return lead * (1.0 + 0.375 / x) if nu == 1 else lead
+
+
+def _tail_prefactor(r, nu: int):
+    """r^nu / (pi (1 - e^{-r})): e^x K_nu(x) decreases, so K_nu((m+1) r) <=
+    e^{-r} K_nu(m r) and sum_{m>M} r^nu K_nu(m r)/pi <= this times
+    K_nu((M+1) r)."""
+    return r**nu / (math.pi * -np.expm1(-r))
+
+
+def _mode_counts(r: np.ndarray, tol, nu: int) -> np.ndarray:
+    """Smallest M >= 0 per row with pref(r) r^nu Kmaj_nu((M+1) r) <= tol.
+
+    x = (M+1) r solves x + log(x)/2 - nu log(1 + 3/(8x)) = L, L = log(pref
+    r^nu sqrt(pi/2)/tol); two contracting fixed-point steps give x, and the
+    integer M is then made exact against the majorant itself."""
+    r = np.asarray(r, dtype=float)
+    if not (np.asarray(tol) > 0.0).all():
+        raise ValueError("tol must be positive")
+    if (r <= 0.0).any():
         raise SingularPointError("Fourier-Bessel regime requires r > 0")
-    pref = 1.0 / (math.pi * (1.0 - math.exp(-r)))
-    M = max(1, int(math.ceil(-math.log(max(tol, 1e-300) / pref) / r)))
-    while M <= _MAX_FOURIER_TERMS:
-        if specfn.bessel_k0((M + 1) * r) * pref <= tol:
-            return M
-        M *= 2
-    raise ToleranceUnreachableError(f"tol={tol} unreachable in Fourier-Bessel at r={r}")
+    if not np.isfinite(r).all():
+        raise ValueError("Fourier-Bessel rows need finite r")
+    pref = _tail_prefactor(r, nu)
+    L = np.log(pref * math.sqrt(math.pi / 2.0) / tol)
+    x = np.maximum(L, r)
+    for _ in range(2):
+        x = np.maximum(L - 0.5 * np.log(x) + nu * np.log1p(0.375 / x), r)
+    M = np.ceil(x / r) - 1.0
+    if (M > _MAX_FOURIER_TERMS).any():
+        raise ToleranceUnreachableError(
+            f"tol={np.min(tol)} unreachable in Fourier-Bessel at r={r.min()}")
+    while True:
+        short = pref * k_majorant((M + 1.0) * r, nu) > tol
+        spare = (M > 0.0) & (pref * k_majorant(np.maximum(M, 1.0) * r, nu) <= tol)
+        if not (short.any() or spare.any()):
+            return M.astype(int)
+        M = M + short - spare
+
+
+def fourier_terms_for(r: float, tol: float) -> int:
+    """Smallest M >= 0 with Kmaj_0((M+1) r)/(pi (1 - e^{-r})) <= tol."""
+    return int(_mode_counts(np.array([r]), tol, 0)[0])
+
+
+def bessel_modes(r: np.ndarray, tol, nu: int):
+    """Radial factors K0(m r), K1(m r) of the Fourier-Bessel sums at rows r (n,).
+
+    Returns (M, k0, k1, bound): the mode counts M (n,) of ``_mode_counts``
+    for the tail order nu; k0 and k1 of shape (n, max M) with K_nu(m r_j)
+    for m <= M_j and exactly 0 beyond; and bound (n,) = pref(r) r^nu
+    K_nu((M_j+1) r_j) <= tol, taken from the row's own (M_j+1) column. Each
+    kernel is called once, on the masked arguments only."""
+    r = np.asarray(r, dtype=float)
+    M = _mode_counts(r, tol, nu)
+    m = np.arange(1, int(M.max(initial=0)) + 2)
+    x = np.multiply.outer(r, m.astype(float))
+    keep = m <= M[:, None]
+    tail = m == M[:, None] + 1
+    with_tail = keep | tail
+    k = [np.zeros_like(x), np.zeros_like(x)]
+    kernels = (specfn.bessel_k0, specfn.bessel_k1)
+    k[nu][with_tail] = kernels[nu](x[with_tail])
+    k[1 - nu][keep] = kernels[1 - nu](x[keep])
+    bound = _tail_prefactor(r, nu) * k[nu][tail]
+    k[nu][tail] = 0.0
+    return M, k[0][:, :-1], k[1][:, :-1], bound
+
+
+def _fourier_bessel_evals(dx, dy, dt, r, M, k0, k1, bound) -> list[GreenEval]:
+    """G and its gradient from the radial factors of ``bessel_modes``, row by row."""
+    m = np.arange(1, k0.shape[1] + 1, dtype=float)
+    mt = np.multiply.outer(dt, m)
+    c = np.cos(mt)
+    s = np.sin(mt)
+    value = np.log(r) / TWO_PI - (k0 * c).sum(axis=1) / math.pi
+    g_r = 1.0 / (TWO_PI * r) + (k1 * c) @ m / math.pi
+    g_t = (k0 * s) @ m / math.pi
+    grad = np.stack([g_r * dx / r, g_r * dy / r, g_t], axis=1)
+    return [GreenEval(float(value[j]), grad[j], float(bound[j]), Regime.FOURIER_BESSEL,
+                      terms=int(M[j])) for j in range(r.size)]
 
 
 def green_fourier_bessel(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 60) -> GreenEval:
     """Log plus Bessel-mode expansion; requires r = |z - z_q| > 0."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    if M < 0:
+        raise ValueError("M must be >= 0")
     dx, dy, dt = _offsets(p, q)
     r = math.hypot(dx, dy)
     if r == 0.0:
         raise SingularPointError("Fourier-Bessel regime requires r > 0")
 
-    m = np.arange(1, M + 1, dtype=float)
-    k0 = specfn.bessel_k0(m * r)
-    k1 = specfn.bessel_k1(m * r)
-    c = np.cos(m * dt)
-    s = np.sin(m * dt)
-
-    value = math.log(r) / TWO_PI - float(np.sum(k0 * c)) / math.pi
-    g_r = 1.0 / (TWO_PI * r) + float(np.sum(m * k1 * c)) / math.pi
-    g_t = float(np.sum(m * k0 * s)) / math.pi
-    grad = np.array([g_r * dx / r, g_r * dy / r, g_t])
-    bound = specfn.bessel_k0((M + 1) * r) / (math.pi * (1.0 - math.exp(-r)))
-    return GreenEval(value, grad, bound, Regime.FOURIER_BESSEL, terms=M)
+    x = np.arange(1, M + 2, dtype=float) * r
+    k0 = specfn.bessel_k0(x)
+    k1 = specfn.bessel_k1(x[:M])
+    bound = _tail_prefactor(r, 0) * k0[M]
+    return _fourier_bessel_evals(np.array([dx]), np.array([dy]), np.array([dt]), np.array([r]),
+                                 [M], k0[None, :M], k1[None, :], [bound])[0]
 
 
 def green_multipole(p: CirclePoint3, q: CirclePoint3 = ORIGIN) -> GreenEval:
@@ -203,37 +289,55 @@ def green_multipole(p: CirclePoint3, q: CirclePoint3 = ORIGIN) -> GreenEval:
     return GreenEval(value, grad, C2_MULTIPOLE * rho * rho, Regime.MULTIPOLE)
 
 
-def green_eval(p: CirclePoint3, q: CirclePoint3 = ORIGIN, tol: float = 1e-10) -> GreenEval:
-    """Evaluate G with automatic regime selection and trunc_bound <= tol.
+def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
+                    tol: float = 1e-10) -> list[GreenEval]:
+    """G(p - q) for every centre q, each with automatic regime selection and
+    trunc_bound <= tol; the Fourier-Bessel centres share one ``bessel_modes``
+    call.
 
     Multipole is used for rho < RHO_SWITCH when its model error meets tol,
     Fourier-Bessel for r > R_SWITCH, and the image sum otherwise (also as the
     fallback near the pole when tol beats the multipole model error).
     Raises ToleranceUnreachableError for tol below the 1e-12 rounding floor.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
-    dx, dy, dt = _offsets(p, q)
-    r = math.hypot(dx, dy)
-    rho = math.sqrt(r * r + dt * dt)
-    if rho == 0.0:
-        raise SingularPointError("G evaluated at its singular point")
+    out: list[GreenEval | None] = [None] * len(centers)
+    fb = []
+    for i, q in enumerate(centers):
+        dx, dy, dt = _offsets(p, q)
+        r = math.hypot(dx, dy)
+        rho = math.sqrt(r * r + dt * dt)
+        if rho == 0.0:
+            raise SingularPointError("G evaluated at its singular point")
+        if rho < RHO_SWITCH:
+            if C2_MULTIPOLE * rho * rho <= tol:
+                out[i] = green_multipole(p, q)
+                continue
+            if tol < _TOL_FLOOR:
+                raise ToleranceUnreachableError(
+                    f"tol={tol} below the multipole model error and the {_TOL_FLOOR} floor"
+                )
+            out[i] = green_image_sum(p, q, math.ceil(math.sqrt(image_tail_constant(r) / tol)))
+        elif r > R_SWITCH:
+            fb.append((i, dx, dy, dt, r))
+        else:
+            M = math.ceil(math.sqrt(image_tail_constant(r) / tol))
+            if M > _MAX_IMAGE_TERMS:
+                raise ToleranceUnreachableError(f"tol={tol} needs {M} image terms")
+            out[i] = green_image_sum(p, q, max(M, 1))
+    if fb:
+        idx, dx, dy, dt, r = (np.array(col) for col in zip(*fb))
+        evals = _fourier_bessel_evals(dx, dy, dt, r, *bessel_modes(r, tol, 0))
+        for i, g in zip(idx, evals):
+            out[i] = g
+    return out
 
-    if rho < RHO_SWITCH:
-        if C2_MULTIPOLE * rho * rho <= tol:
-            return green_multipole(p, q)
-        if tol < _TOL_FLOOR:
-            raise ToleranceUnreachableError(
-                f"tol={tol} below the multipole model error and the {_TOL_FLOOR} floor"
-            )
-        M = math.ceil(math.sqrt(image_tail_constant(r) / tol))
-        return green_image_sum(p, q, M)
-    if r > R_SWITCH:
-        return green_fourier_bessel(p, q, fourier_terms_for(r, tol))
-    M = math.ceil(math.sqrt(image_tail_constant(r) / tol))
-    if M > _MAX_IMAGE_TERMS:
-        raise ToleranceUnreachableError(f"tol={tol} needs {M} image terms")
-    return green_image_sum(p, q, max(M, 1))
+
+def green_eval(p: CirclePoint3, q: CirclePoint3 = ORIGIN, tol: float = 1e-10) -> GreenEval:
+    """Evaluate G with automatic regime selection and trunc_bound <= tol
+    (``green_eval_many`` with the single centre q)."""
+    return green_eval_many(p, [q], tol)[0]
 
 
 def green_dt_zero_check(r: float, M: int | None = None) -> float:

@@ -25,6 +25,7 @@ off-diagonal part by the phase e^{i k theta_1} (chart z1 != 0).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,8 @@ class Quat4Point:
     def __post_init__(self):
         self.z1 = complex(self.z1)
         self.z2 = complex(self.z2)
+        if not (cmath.isfinite(self.z1) and cmath.isfinite(self.z2)):
+            raise ValueError(f"point coordinates must be finite, got ({self.z1}, {self.z2})")
 
     @property
     def rho(self) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import SingularPointError  # noqa: F401  (re-exported for convenience)
 
+#: Euler-Mascheroni constant gamma = lim (sum_{k<=n} 1/k - log n)
 EULER_GAMMA = 0.5772156649015328606065
 
 _EPS = np.finfo(float).eps
@@ -130,11 +131,6 @@ class Interval:
     @staticmethod
     def from_midrad(mid: float, rad: float) -> "Interval":
         return Interval(mid - rad, mid + rad)
-
-
-def euler_gamma() -> float:
-    """Euler-Mascheroni constant gamma = lim (sum_{k<=n} 1/k - log n)."""
-    return EULER_GAMMA
 
 
 def a_constants(m_max: int) -> list[float]:

@@ -120,6 +120,55 @@ def test_grid_fields_match_pointwise_fields():
         assert abs(a_theta - want) <= 1e-12
 
 
+def test_higgs_is_vacuum_plus_charge_weighted_green():
+    m = three_term_monopole()
+    m.terms.append(DiracTerm(CirclePoint3(-2.0 + 1.0j, 1.0), -1, Kind.EUCLIDEAN))
+    tol = 1e-10
+    n = len(m.terms)
+    for p in (CirclePoint3(2.5 + 1.5j, 1.0), CirclePoint3(1.1 + 0.7j, 0.6),
+              CirclePoint3(1e-5j, 2e-5), CirclePoint3(-3.0 - 2.0j, 4.0)):
+        want = m.v
+        want_grad = np.zeros(3)
+        for term in m.terms[:3]:
+            g = green.green_eval(p, term.center, tol / n)
+            want += term.charge * g.value
+            want_grad += term.charge * g.grad
+        e = m.terms[3]
+        d = np.array([p.x - e.center.x, p.y - e.center.y, green.reduce_angle_signed(p.t - e.center.t)])
+        rho = np.linalg.norm(d)
+        want += 1.0 / (2.0 * rho)
+        want_grad -= d / (2.0 * rho**3)
+        assert abs(abelian.higgs(m, p, tol) - want) <= 1e-14 * max(1.0, abs(want))
+        assert np.abs(abelian.higgs_gradient(m, p, tol) - want_grad).max() <= 1e-14 * max(
+            1.0, np.abs(want_grad).max())
+
+
+#: the Bogomolny box of the benchmark's monopole frames: 64^3 nodes at h = 0.05
+BENCH_BOX = ((3.2, 6.35), (-1.6, 1.55), (-1.55, 1.6))
+
+
+def test_per_node_mode_counts_match_global_count(monkeypatch):
+    # every node summing the count of the grid's smallest r, as a reference
+    m = three_term_monopole()
+    h = 0.05
+    axes = [np.arange(lo, hi + 0.5 * h, h) for lo, hi in BENCH_BOX]
+    fields = abelian._grid_fields(m, *axes, h)
+    residual = abelian.bogomolny_residual(m, BENCH_BOX, h)
+    per_node = green.bessel_modes
+
+    def global_count(r, tol, nu):
+        M, _, _, bound = per_node(r, tol, nu)
+        x = np.multiply.outer(r, np.arange(1, M.max() + 1, dtype=float))
+        return np.full_like(M, M.max()), specfn.bessel_k0(x), specfn.bessel_k1(x), bound
+
+    monkeypatch.setattr(green, "bessel_modes", global_count)
+    ref_fields = abelian._grid_fields(m, *axes, h)
+    ref_residual = abelian.bogomolny_residual(m, BENCH_BOX, h)
+    for f, ref in zip(fields, ref_fields):
+        assert np.abs(f - ref).max() <= 1e-14
+    assert abs(residual - ref_residual) <= 1e-12
+
+
 def test_radial_gauge_requires_single_term_and_exterior():
     m = unit_monopole()
     with pytest.raises(OutOfRegimeError):
@@ -188,6 +237,11 @@ def test_holonomy_integral_route_matches():
     for ang in np.linspace(-2.8, 2.8, 7):
         z = 2.0 * cmath.exp(1j * ang)
         assert abs(abelian.holonomy_integral(m, z) - abelian.holonomy(m, z)) <= 1e-6
+    three = three_term_monopole()
+    for z in (2.0 + 1.0j, -1.5 + 0.2j):
+        assert abs(abelian.holonomy_integral(three, z) - abelian.holonomy(three, z)) <= 1e-6
+    assert abelian.holonomy_integral(abelian.vacuum(0.0, 0.3), 1.0) == pytest.approx(
+        abelian.holonomy(abelian.vacuum(0.0, 0.3), 1.0), abs=1e-15)
 
 
 def test_holonomy_multiplicative_over_terms():

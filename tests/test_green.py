@@ -2,10 +2,14 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
-from permono import green
+from permono import green, specfn
 from permono.errors import OutOfRegimeError, SingularPointError, ToleranceUnreachableError
 from permono.green import ORIGIN, CirclePoint3, Regime
 
@@ -20,6 +24,17 @@ def test_circle_point_normalization_and_distance():
     b = CirclePoint3(0.0, TWO_PI - 0.1)
     assert a.distance(b) == pytest.approx(0.2, abs=1e-15)
     assert a.distance(a) == 0.0
+
+
+@pytest.mark.parametrize("z, t", [
+    (2.0, math.nan),                      # was NaN labelled FourierBessel
+    (0.3, math.nan),                      # was NaN labelled ImageSum
+    (complex(math.nan, 0.0), 1.0),        # was "cannot convert float NaN to integer"
+    (complex(math.inf, 0.0), 1.0),        # was a Bessel-domain error
+])
+def test_circle_point_rejects_non_finite(z, t):
+    with pytest.raises(ValueError, match="finite"):
+        green.green_eval(CirclePoint3(z, t), ORIGIN, 1e-10)
 
 
 def test_image_sum_even_in_t_exactly():
@@ -220,3 +235,85 @@ def test_batch_evaluation_matches_pointwise():
     batch = green.evaluate_batch(pts, ORIGIN, 1e-9)
     for p, g in zip(pts, batch):
         assert g.value == green.green_eval(p, ORIGIN, 1e-9).value
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(1e-3, 700.0), nu=st.sampled_from([0, 1]))
+def test_k_majorant_bounds_bessel_k(x, nu):
+    exact = mp.besselk(nu, mp.mpf(x))
+    assert float(exact) <= green.k_majorant(x, nu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(r=st.floats(0.05, 20.0), log_tol=st.floats(-15.0, -2.0), nu=st.sampled_from([0, 1]))
+def test_bessel_modes_minimal_count_and_sound_bound(r, log_tol, nu):
+    tol = 10.0**log_tol
+    M, k0, k1, bound = green.bessel_modes(np.array([r]), tol, nu)
+    M = int(M[0])
+    pref = green._tail_prefactor(r, nu)
+    assert pref == pytest.approx(r**nu / (math.pi * (1.0 - math.exp(-r))), rel=1e-14)
+    assert pref * green.k_majorant((M + 1) * r, nu) <= tol
+    if M > 0:
+        assert pref * green.k_majorant(M * r, nu) > tol  # M - 1 modes miss tol
+    x = np.arange(1, M + 2) * r
+    kth = (specfn.bessel_k0, specfn.bessel_k1)[nu]
+    assert bound[0] == pref * kth(x[M]) and bound[0] <= tol
+    assert k0.shape[1] == M
+    np.testing.assert_array_equal(k0[0], specfn.bessel_k0(x[:M]))
+    np.testing.assert_array_equal(k1[0], specfn.bessel_k1(x[:M]))
+
+
+def test_bessel_modes_rows_zero_beyond_their_count():
+    r = np.array([0.6, 2.0, 7.5])
+    M, k0, k1, bound = green.bessel_modes(r, 1e-12, 0)
+    assert M[0] > M[1] > M[2] and k0.shape[1] == M.max()
+    for j in range(r.size):
+        assert np.all(k0[j, M[j]:] == 0.0) and np.all(k1[j, M[j]:] == 0.0)
+        assert np.all(k0[j, :M[j]] > 0.0)
+    assert np.all(bound <= 1e-12)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            green.bessel_modes(np.array([1.0, bad]), 1e-12, 0)
+    with pytest.raises(ValueError):
+        green.bessel_modes(r, 0.0, 1)
+
+
+def fourier_bessel_oracle(r, t):
+    """(1/2 pi) log r - (1/pi) sum_m K0(m r) cos(m t) with scipy's K0, tail < 1e-30."""
+    m = np.arange(1, math.ceil(72.0 / r) + 1)
+    return math.log(r) / TWO_PI - math.fsum(special.k0(m * r) * np.cos(m * t)) / math.pi
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.floats(0.5001, 8.0), t=st.floats(0.0, TWO_PI), log_tol=st.floats(-14.0, -4.0))
+def test_fourier_bessel_value_within_its_bound(r, t, log_tol):
+    tol = 10.0**log_tol
+    g = green.green_eval(CirclePoint3(complex(r), t), ORIGIN, tol)
+    assert g.regime is Regime.FOURIER_BESSEL
+    assert g.trunc_bound <= tol
+    assert abs(g.value - fourier_bessel_oracle(r, t)) <= g.trunc_bound + 1e-15
+
+
+def test_green_eval_many_matches_green_eval():
+    rng = np.random.default_rng(11)
+    p = CirclePoint3(0.4 - 0.3j, 1.1)
+    centers = [
+        CirclePoint3(0.4 - 0.3j, 1.1 + 5e-6),       # Multipole
+        CirclePoint3(0.43 - 0.3j, 1.14),            # ImageSum below the switch
+        CirclePoint3(0.1 - 0.1j, 3.0),              # ImageSum
+        ORIGIN,                                     # ImageSum
+    ] + [CirclePoint3(complex(*rng.uniform(-5, 5, 2)), rng.uniform(0, TWO_PI)) for _ in range(6)]
+    for tol in (1e-6, 1e-10, 1e-12):
+        many = green.green_eval_many(p, centers, tol)
+        assert {g.regime for g in many} == set(Regime)
+        for q, g in zip(centers, many):
+            one = green.green_eval(p, q, tol)
+            assert g.regime is one.regime
+            assert g.trunc_bound == one.trunc_bound and g.terms == one.terms
+            assert abs(g.value - one.value) <= 1e-15
+            assert np.abs(g.grad - one.grad).max() <= 1e-15
+    assert green.green_eval_many(p, [], 1e-10) == []
+    with pytest.raises(SingularPointError):
+        green.green_eval_many(p, [ORIGIN, p], 1e-10)
+    with pytest.raises(ValueError):
+        green.green_eval_many(p, centers, math.nan)

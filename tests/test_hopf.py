@@ -29,6 +29,12 @@ def base_chart(p):
     return "+" if abs(p.z1) >= abs(p.z2) else "-"
 
 
+@pytest.mark.parametrize("z1, z2", [(math.nan, 0.5), (0.5, complex(0.0, math.inf))])
+def test_quat_point_rejects_non_finite(z1, z2):
+    with pytest.raises(ValueError, match="finite"):
+        Quat4Point(z1, z2)
+
+
 def test_projection_poles_and_norm_identity():
     assert np.allclose(hopf.hopf_project(Quat4Point(1, 0)), [1.0, 0.0, 0.0])
     assert np.allclose(hopf.hopf_project(Quat4Point(0, 1)), [-1.0, 0.0, 0.0])
