@@ -55,14 +55,9 @@ class WeightSpectrum:
 
 def kuwabara_eigenvalues(m: int, j_max: int) -> list[tuple[int, float, int]]:
     """[(l, (l(l+2) - m^2)/4, l+1)] for l = |m| + 2j, j = 0..j_max: the
-    spectrum of the charge-m sphere Laplacian."""
-    if j_max < 0:
-        raise ValueError("j_max must be >= 0")
-    out = []
-    for j in range(j_max + 1):
-        l = abs(m) + 2 * j
-        out.append((l, (l * (l + 2) - m * m) / 4.0, l + 1))
-    return out
+    spectrum of the charge-m sphere Laplacian, i.e. that of L shifted by -m^2/4."""
+    return [(e.l, e.lam - m * m / 4.0, e.multiplicity)
+            for e in operator_L_spectrum(m, j_max).entries]
 
 
 def operator_L_spectrum(m: int, j_max: int) -> WeightSpectrum:

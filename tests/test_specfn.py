@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from permono import specfn
@@ -107,6 +109,54 @@ def test_domain_errors():
         specfn.bessel_k0(0.0)
     with pytest.raises(ValueError):
         specfn.bessel_k1(-1.0)
+    for bad in (math.inf, math.nan, -0.0):
+        for f in (specfn.bessel_k0, specfn.bessel_k1):
+            with pytest.raises(ValueError, match="finite x > 0"):
+                f(np.array([1.0, bad]))
+
+
+def test_k1_overflow_raises_and_k0_stays_finite():
+    # K1(x) ~ 1/x exceeds DBL_MAX below x ~ 5.6e-309; K0 ~ -log(x/2) does not.
+    for x in (1e-310, np.array([1.0, 1e-310]), 5e-324):
+        with pytest.raises(ValueError, match="overflow"):
+            specfn.bessel_k1(x)
+    with pytest.raises(ValueError, match="overflow"):
+        specfn.bessel_k1_enclosure(1e-310)
+    assert specfn.bessel_k0(1e-310) == pytest.approx(float(mp.besselk(0, mp.mpf(1e-310))), rel=1e-14)
+    assert specfn.bessel_k1(6e-309) == pytest.approx(1.0 / 6e-309, rel=1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_x=st.floats(math.log(1e-300), math.log(700.0)), nu=st.sampled_from([0, 1]))
+def test_relative_accuracy_and_enclosure_log_uniform(log_x, nu):
+    x = math.exp(log_x)
+    f, enc = ((specfn.bessel_k0, specfn.bessel_k0_enclosure),
+              (specfn.bessel_k1, specfn.bessel_k1_enclosure))[nu]
+    exact = mp.besselk(nu, mp.mpf(x))
+    assert abs(mp.mpf(f(x)) / exact - 1) <= 1e-14
+    box = enc(x)
+    assert box.lo <= exact <= box.hi
+
+
+def test_enclosure_through_gradual_underflow():
+    # Beyond x ~ 705 the value is subnormal and its rounding is absolute;
+    # beyond x ~ 745 it is exactly 0 and the truth lies below one subnormal unit.
+    for x in np.linspace(700.0, 750.0, 101):
+        for nu, f in ((0, specfn.bessel_k0_enclosure), (1, specfn.bessel_k1_enclosure)):
+            box = f(float(x))
+            assert box.lo <= mp.besselk(nu, mp.mpf(float(x))) <= box.hi, (nu, x)
+            assert box.lo >= 0.0
+
+
+def test_shapes():
+    for f in (specfn.bessel_k0, specfn.bessel_k1):
+        for x in (2.5, np.float64(2.5), np.array(2.5), 3):
+            assert type(f(x)) is float
+        x = np.geomspace(0.01, 50.0, 12).reshape(3, 4)
+        out = f(x)
+        assert isinstance(out, np.ndarray) and out.shape == (3, 4)
+        assert np.array_equal(out.ravel(), [f(float(v)) for v in x.ravel()])
+        assert f(np.empty((0, 5))).shape == (0, 5)
 
 
 def test_euler_gamma_by_accelerated_limit():
