@@ -4,6 +4,19 @@ gauge in the exterior region, holonomy around circle fibers, large-distance
 asymptotics of a translated center, the scaling action, and a grid residual
 for the abelian Bogomolny equation curl(a) = grad(phi).
 
+The grid residual never builds the fields on the grid. It works on their
+rank-K factors, whose t-basis rows are 1, cos(m dt) (phi) and
+1/2 - dt/(2 pi), sin(m dt) (a_x, a_y). On the uniform t-grid the central
+difference of each row is a weighted row of the other basis:
+
+    cos(m(dt+h)) - cos(m(dt-h)) = -2 sin(mh) sin(m dt),
+    sin(m(dt+h)) - sin(m(dt-h)) =  2 sin(mh) cos(m dt),
+
+the linear row differences to -h/pi times the constant row, and the
+constant row to 0. The identities are exact on the grid because the box
+keeps every node at least 4h from the gauge seam dt = pi, so dt does not
+wrap inside any stencil.
+
 Conventions. Connections are written A = i(a_theta dtheta + a_t dt) with real
 coefficients; FieldSample carries the real parts. The exterior radial gauge
 fixes the half-integer holonomy shift alpha = 1/2 and is expressed in polar
@@ -24,7 +37,7 @@ import numpy as np
 
 from . import green
 from .errors import OutOfRegimeError, SingularPointError
-from .green import ORIGIN, CirclePoint3, reduce_angle_signed
+from .green import CirclePoint3, reduce_angle_signed
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,34 +142,6 @@ def _single_periodic(m: AbelianMonopole) -> DiracTerm:
 _GRID_TOL = 1e-15
 
 
-def _term_factors(term: DiracTerm, dz: np.ndarray, dt: np.ndarray, tol: float):
-    """Rank-(M+1) factors of one periodic term at planar offsets dz (n,) and
-    circle offsets dt (nt,), every |dz| = r >= 2:
-
-        phi     = k log r/(2 pi) - (k/pi) sum_m K0(m r) cos(m dt)   = f_phi @ g_phi,
-        a_theta = k (1/2 - dt/(2 pi)) - (k r/pi) sum_m K1(m r) sin(m dt) = f_theta @ g_theta,
-
-    with f_* of shape (n, M+1) and g_* of shape (M+1, nt), M the largest
-    count. Each node keeps its own count, sized from its r K1 tail, and its
-    columns beyond it are 0; for r >= 1 that tail also bounds the K0 tail of
-    phi (K0 < K1), so both truncation errors are <= tol at every node.
-    """
-    k = term.charge
-    r = np.abs(dz)
-    _, k0, k1, _ = green.bessel_modes(r, tol / abs(k), 1)
-    M = k0.shape[1]
-    f_phi = np.empty((r.size, M + 1))
-    f_phi[:, 0] = (k / TWO_PI) * np.log(r)
-    f_phi[:, 1:] = (-k / math.pi) * k0
-    f_theta = np.empty((r.size, M + 1))
-    f_theta[:, 0] = k
-    f_theta[:, 1:] = k1 * ((-k / math.pi) * r)[:, None]
-    mt = np.multiply.outer(np.arange(1, M + 1, dtype=float), dt)
-    g_phi = np.vstack([np.ones_like(dt), np.cos(mt)])
-    g_theta = np.vstack([0.5 - dt / TWO_PI, np.sin(mt)])
-    return f_phi, f_theta, g_phi, g_theta
-
-
 def connection_radial_gauge(m: AbelianMonopole, p: CirclePoint3,
                             tol: float = 1e-12) -> FieldSample:
     """Radial-gauge connection of a single periodic term, valid for r >= 2.
@@ -165,7 +150,8 @@ def connection_radial_gauge(m: AbelianMonopole, p: CirclePoint3,
     a_t = b, in polar coordinates centred at the singularity; the Bessel sum
     is the closed form of -int_r^inf r' d_t psi dr' with
     int_r^inf r' K0(m r') dr' = (r/m) K1(m r). The Higgs value is the
-    Fourier-Bessel series of the same term, also truncated within tol.
+    Fourier-Bessel series of the same term; both sums stop at the count
+    whose r K1 tail is <= tol, which for r >= 1 also bounds the K0 tail.
     """
     term = _single_periodic(m)
     dz = p.z - term.center.z
@@ -173,13 +159,15 @@ def connection_radial_gauge(m: AbelianMonopole, p: CirclePoint3,
     if r < 2.0:
         raise OutOfRegimeError(f"radial gauge requires r >= 2, got r={r}")
     dt = reduce_angle_signed(p.t - term.center.t)
-    f_phi, f_theta, g_phi, g_theta = _term_factors(term, np.array([dz]), np.array([dt]), tol)
-    h = m.v + (f_phi @ g_phi).item()
-    return FieldSample(h, (f_theta @ g_theta).item(), m.b, "exterior")
+    k = term.charge
+    _, k0, k1, _ = green.bessel_modes(np.array([r]), tol / abs(k), 1)
+    mdt = np.arange(1, k0.shape[1] + 1) * dt
+    higgs_value = m.v + k * (math.log(r) / TWO_PI - float(k0[0] @ np.cos(mdt)) / math.pi)
+    a_theta = k * (0.5 - dt / TWO_PI - r * float(k1[0] @ np.sin(mdt)) / math.pi)
+    return FieldSample(higgs_value, a_theta, m.b, "exterior")
 
 
-def translated_asymptotics(m: AbelianMonopole, p: CirclePoint3,
-                           tol: float | None = None) -> FieldSample:
+def translated_asymptotics(m: AbelianMonopole, p: CirclePoint3) -> FieldSample:
     """Two-term large-distance model of a single off-center periodic term,
     in the fixed coordinate frame; valid for |z| >= 2 |z_center|.
 
@@ -187,8 +175,7 @@ def translated_asymptotics(m: AbelianMonopole, p: CirclePoint3,
     a_theta = k (-t/(2 pi) + (t0 + pi)/(2 pi))
     a_t     = b - k Im(z0/z) / (2 pi)
 
-    The model is closed-form (tol accepted for interface symmetry, unused);
-    the dropped remainder is O(r^-2).
+    The model is closed-form; the dropped remainder is O(r^-2).
     """
     term = _single_periodic(m)
     z0 = term.center.z
@@ -217,7 +204,7 @@ def _holonomy_phase(m: AbelianMonopole, z: np.ndarray) -> np.ndarray:
     return phase
 
 
-def holonomy(m: AbelianMonopole, z: complex, tol: float = 1e-12) -> complex:
+def holonomy(m: AbelianMonopole, z: complex) -> complex:
     """Holonomy of the connection around the fiber {z} x S^1:
     exp(-i sum_j k_j theta_j(z) - 2 pi i b), theta_j the principal angle of
     z - z_j. Euclidean terms carry no fiber holonomy."""
@@ -291,72 +278,134 @@ def euclidean_limit_profile(r: float, t: float) -> float:
     return 1.0 - 0.5 / math.hypot(r, t)
 
 
-def _grid_fields(m: AbelianMonopole, X: np.ndarray, Y: np.ndarray, T: np.ndarray, h: float):
-    """phi, a_x and a_y on the tensor grid; periodic terms only.
+def _grid_factors(m: AbelianMonopole, X: np.ndarray, Y: np.ndarray, T: np.ndarray, h: float):
+    """Rank-K factors of the grid fields on the tensor grid X x Y x T:
 
-    Each field is one matrix product of the concatenated (nx ny, M+1) and
-    (M+1, nt) factors of all terms, with the constant v as one more column
-    of phi; a_t = b is constant and has no differences."""
-    Z = (X[:, None] + 1j * Y[None, :]).ravel()
-    f_phi, g_phi = [np.full((Z.size, 1), m.v)], [np.ones((1, T.size))]
-    # empty blocks keep the products defined for the vacuum
-    f_x, f_y, g_a = [np.empty((Z.size, 0))], [np.empty((Z.size, 0))], [np.empty((0, T.size))]
+        phi = Fp @ C,    a_x = Fx @ S,    a_y = Fy @ S,
+
+    Fp, Fx, Fy of shape (nx, ny, K), the t-bases C, S of shape (K, nt). Column
+    0 carries the constant v of phi (C[0] = 1, S[0] = 0, Fx = Fy = 0); each
+    periodic term adds its log/linear column and M Fourier-Bessel modes,
+
+        phi     = k log r/(2 pi) - (k/pi) sum_m K0(m r) cos(m dt),
+        a_theta = k (1/2 - dt/(2 pi)) - (k r/pi) sum_m K1(m r) sin(m dt),
+
+    with a_x = -a_theta dy/r^2 and a_y = a_theta dx/r^2; a_t = b is constant.
+    Each node keeps its own count, sized from its r K1 tail, and its columns
+    beyond it are 0; for r >= 1 that tail also bounds the K0 tail of phi
+    (K0 < K1), so both truncation errors are <= _GRID_TOL at every node.
+
+    sigma and tau (K,) are the column weights of the central t-difference
+    times 2h: it maps F @ S to (sigma F) @ C and F @ C to (tau F) @ S at the
+    interior t nodes (see ``bogomolny_residual``).
+
+    Raises OutOfRegimeError unless every node has r >= 2 and lies at least 4h
+    from every centre and from every gauge seam dt = pi.
+    """
+    Z = X[:, None] + 1j * Y[None, :]
+    blocks = []
     for term in m.terms:
         if term.kind is not Kind.PERIODIC:
             raise ValueError("grid residual supports periodic terms only")
-        dt = np.array([reduce_angle_signed(t - term.center.t) for t in T])
+        dt = np.mod(T - term.center.t, TWO_PI)
+        dt[dt > math.pi] -= TWO_PI
         if np.any(np.abs(np.abs(dt) - math.pi) < 4.0 * h):
             raise OutOfRegimeError("box crosses the radial-gauge seam dt = pi")
         dz = Z - term.center.z
         r2 = dz.real * dz.real + dz.imag * dz.imag
+        # on a tensor grid the node nearest the centre pairs the smallest
+        # planar and circle offsets
+        if np.min(r2) + np.min(dt * dt) < (4.0 * h) ** 2:
+            raise OutOfRegimeError("grid region too close to a singular center")
         if np.min(r2) < 4.0:
             raise OutOfRegimeError("grid extends below the radial-gauge region r >= 2")
-        fp, ft, gp, ga = _term_factors(term, dz, dt, _GRID_TOL)
-        f_phi.append(fp)
-        g_phi.append(gp)
-        f_x.append(ft * (-dz.imag / r2)[:, None])
-        f_y.append(ft * (dz.real / r2)[:, None])
-        g_a.append(ga)
-    shape = (X.size, Y.size, T.size)
-    g_a = np.vstack(g_a)
-    phi = (np.hstack(f_phi) @ np.vstack(g_phi)).reshape(shape)
-    a_x = (np.hstack(f_x) @ g_a).reshape(shape)
-    a_y = (np.hstack(f_y) @ g_a).reshape(shape)
-    return phi, a_x, a_y
+        r = np.sqrt(r2)
+        _, k0, k1, _ = green.bessel_modes(r.ravel(), _GRID_TOL / abs(term.charge), 1)
+        blocks.append((term.charge, dz, r, dt, k0, k1))
+    K = 1 + sum(k0.shape[1] + 1 for *_, k0, _ in blocks)
+    Fp, Fx, Fy = (np.empty(Z.shape + (K,)) for _ in range(3))
+    C, S = np.empty((K, T.size)), np.empty((K, T.size))
+    sigma, tau = np.empty(K), np.empty(K)
+    Fp[..., 0], Fx[..., 0], Fy[..., 0] = m.v, 0.0, 0.0
+    C[0], S[0], sigma[0], tau[0] = 1.0, 0.0, 0.0, 0.0
+    c = 1
+    for k, dz, r, dt, k0, k1 in blocks:
+        M = k0.shape[1]
+        modes = slice(c + 1, c + 1 + M)
+        mode = np.arange(1, M + 1, dtype=float)
+        k0, k1 = k0.reshape(Z.shape + (M,)), k1.reshape(Z.shape + (M,))
+        Fp[..., c] = (k / TWO_PI) * np.log(r)
+        np.multiply(k0, -k / math.pi, out=Fp[..., modes])
+        Fx[..., c] = -k * dz.imag / (r * r)
+        np.multiply(k1, ((k / math.pi) * dz.imag / r)[..., None], out=Fx[..., modes])
+        Fy[..., c] = k * dz.real / (r * r)
+        np.multiply(k1, ((-k / math.pi) * dz.real / r)[..., None], out=Fy[..., modes])
+        mt = np.multiply.outer(mode, dt)
+        C[c], S[c] = 1.0, 0.5 - dt / TWO_PI
+        np.cos(mt, out=C[modes])
+        np.sin(mt, out=S[modes])
+        sigma[c], tau[c] = -h / math.pi, 0.0
+        sigma[modes] = 2.0 * np.sin(mode * h)
+        tau[modes] = -sigma[modes]
+        c += M + 1
+    return Fp, Fx, Fy, C, S, sigma, tau
 
 
 def bogomolny_residual(m: AbelianMonopole, box, h: float) -> float:
     """Max interior-node residual |curl(a) - grad(phi)| on a uniform grid over
     box = ((x0,x1),(y0,y1),(t0,t1)), second-order central differences.
 
-    The box must stay in the radial-gauge region (r >= 2 from every center,
-    at least 4h from the gauge seam)."""
+    The box must stay in the radial-gauge region: r >= 2 from every center,
+    every node at least 4h from every center (checked over all nodes, not
+    only the corners) and from the gauge seam dt = pi.
+
+    The fields are never built on the grid. The t-difference (times 2h) of
+    each basis row of ``_grid_factors`` is a weighted row of the other basis:
+
+        cos(m(dt+h)) - cos(m(dt-h)) = -2 sin(mh) sin(m dt),
+        sin(m(dt+h)) - sin(m(dt-h)) =  2 sin(mh) cos(m dt),
+        (1/2 - (dt+h)/2 pi) - (1/2 - (dt-h)/2 pi) = -h/pi,
+
+    and the constant row differences to 0. These are exact because the 4h
+    seam margin keeps every stencil inside one branch (-pi, pi) of dt, so dt
+    never wraps within it. With the x- and y-differences taken on the
+    factors, the three components (times 2h) at the interior nodes are
+
+        -r_x = (sigma Fy + Dx Fp) @ C,   r_y = (sigma Fx - Dy Fp) @ C,
+         r_t = (Dx Fy - Dy Fx - tau Fp) @ S,
+
+    one (interior nodes, K) @ (K, interior t) product each."""
     (x0, x1), (y0, y1), (t0, t1) = box
     X = np.arange(x0, x1 + 0.5 * h, h)
     Y = np.arange(y0, y1 + 0.5 * h, h)
     T = np.arange(t0, t1 + 0.5 * h, h)
     if min(X.size, Y.size, T.size) < 3:
         raise ValueError("box too small for the stencil at this mesh")
-    for term in m.terms:
-        c = term.center
-        dmin = min(
-            CirclePoint3(complex(x, y), t).distance(c)
-            for x in (X[0], X[-1]) for y in (Y[0], Y[-1]) for t in (T[0], T[-1])
-        )
-        if dmin < 4.0 * h:
-            raise OutOfRegimeError("grid region too close to a singular center")
-    phi, a_x, a_y = _grid_fields(m, X, Y, T, h)
+    Fp, Fx, Fy, C, S, sigma, tau = _grid_factors(m, X, Y, T, h)
+    C, S = C[:, 1:-1], S[:, 1:-1]
 
-    def d(f, axis):
-        """Central difference times 2h at the interior nodes."""
-        sl = [slice(1, -1)] * 3
-        lo = list(sl)
-        hi = list(sl)
-        lo[axis] = slice(0, -2)
-        hi[axis] = slice(2, None)
-        return f[tuple(hi)] - f[tuple(lo)]
-
-    res_x = -d(a_y, 2) - d(phi, 0)
-    res_y = d(a_x, 2) - d(phi, 1)
-    res_t = d(a_y, 0) - d(a_x, 1) - d(phi, 2)
-    return float(np.sqrt((res_x**2 + res_y**2 + res_t**2).max())) / (2.0 * h)
+    # left factors of -r_x, r_y and -r_t, the differences added in place:
+    # every fresh page faults, so no further temporary of this size is made,
+    # and the grid factors are dropped before the products
+    inner = (slice(1, -1), slice(1, -1))
+    lx = sigma * Fy[inner]
+    lx += Fp[2:, 1:-1]
+    lx -= Fp[:-2, 1:-1]
+    ly = sigma * Fx[inner]
+    ly -= Fp[1:-1, 2:]
+    ly += Fp[1:-1, :-2]
+    lt = tau * Fp[inner]
+    lt -= Fy[2:, 1:-1]
+    lt += Fy[:-2, 1:-1]
+    lt += Fx[1:-1, 2:]
+    lt -= Fx[1:-1, :-2]
+    del Fp, Fx, Fy
+    K = sigma.size
+    res = lx.reshape(-1, K) @ C
+    res *= res
+    part = np.empty_like(res)
+    for left, basis in ((ly, C), (lt, S)):
+        np.matmul(left.reshape(-1, K), basis, out=part)
+        part *= part
+        res += part
+    return float(np.sqrt(res.max())) / (2.0 * h)

@@ -100,17 +100,23 @@ def test_higgs_gradient_matches_central_differences():
         assert np.abs(got - np.array(fd)).max() <= 1e-6 * (1.0 + np.abs(got).max())
 
 
+def grid_fields(m, X, Y, T, h):
+    """phi, a_x and a_y on the grid as products of the residual's factors."""
+    Fp, Fx, Fy, C, S, _, _ = abelian._grid_factors(m, X, Y, T, h)
+    return Fp @ C, Fx @ S, Fy @ S
+
+
 def test_grid_fields_match_pointwise_fields():
-    # the matrix-product assembly against the pointwise series, at seeded nodes
+    # the factor products against the pointwise series, at seeded nodes
     X = np.arange(3.2, 4.0, 0.1)
     Y = np.arange(-1.0, 1.0, 0.1)
     T = np.arange(-1.5, 1.5, 0.1)
     rng = np.random.default_rng(7)
     nodes = list(zip(*(rng.integers(0, n, 12) for n in (X.size, Y.size, T.size))))
     m = three_term_monopole()
-    phi, _, _ = abelian._grid_fields(m, X, Y, T, 0.1)
+    phi, _, _ = grid_fields(m, X, Y, T, 0.1)
     single = AbelianMonopole([DiracTerm(CirclePoint3(0.9 + 0.6j, 0.3), -1)], v=1.0, b=0.25)
-    _, a_x, a_y = abelian._grid_fields(single, X, Y, T, 0.1)
+    _, a_x, a_y = grid_fields(single, X, Y, T, 0.1)
     for i, j, k in nodes:
         p = CirclePoint3(complex(X[i], Y[j]), T[k])
         assert abs(phi[i, j, k] - abelian.higgs(m, p, 1e-13)) <= 1e-12
@@ -147,23 +153,77 @@ def test_higgs_is_vacuum_plus_charge_weighted_green():
 BENCH_BOX = ((3.2, 6.35), (-1.6, 1.55), (-1.55, 1.6))
 
 
+def field_difference_residual(m, box, h):
+    """The residual from central differences of phi, a_x and a_y built on
+    every grid node (per term: log/linear part plus the Fourier-Bessel modes
+    of ``green.bessel_modes``), as an oracle for the factor-basis residual."""
+    X, Y, T = (np.arange(lo, hi + 0.5 * h, h) for lo, hi in box)
+    Z = (X[:, None] + 1j * Y[None, :]).ravel()
+    phi = np.full((Z.size, T.size), m.v)
+    a_x = np.zeros_like(phi)
+    a_y = np.zeros_like(phi)
+    for term in m.terms:
+        k = term.charge
+        dz = Z - term.center.z
+        r = np.abs(dz)
+        dt = np.array([green.reduce_angle_signed(t - term.center.t) for t in T])
+        _, k0, k1, _ = green.bessel_modes(r, abelian._GRID_TOL / abs(k), 1)
+        mt = np.multiply.outer(np.arange(1, k0.shape[1] + 1), dt)
+        phi += k * (np.log(r)[:, None] / TWO_PI - k0 @ np.cos(mt) / math.pi)
+        a_theta = k * ((0.5 - dt / TWO_PI)[None, :] - (r[:, None] * k1) @ np.sin(mt) / math.pi)
+        a_x -= a_theta * (dz.imag / r**2)[:, None]
+        a_y += a_theta * (dz.real / r**2)[:, None]
+    phi, a_x, a_y = (f.reshape(X.size, Y.size, T.size) for f in (phi, a_x, a_y))
+
+    def d(f, axis):
+        hi = [slice(1, -1)] * 3
+        lo = list(hi)
+        hi[axis], lo[axis] = slice(2, None), slice(0, -2)
+        return f[tuple(hi)] - f[tuple(lo)]
+
+    res_x = -d(a_y, 2) - d(phi, 0)
+    res_y = d(a_x, 2) - d(phi, 1)
+    res_t = d(a_y, 0) - d(a_x, 1) - d(phi, 2)
+    return float(np.sqrt((res_x**2 + res_y**2 + res_t**2).max())) / (2.0 * h)
+
+
+@pytest.mark.parametrize("make, box, h", [
+    (three_term_monopole, BENCH_BOX, 0.05),
+    (lambda: unit_monopole(v=0.5, b=0.1), ((2.5, 4.5), (-1.0, 1.0), (-1.0, 1.5)), 0.1),
+    (lambda: AbelianMonopole([DiracTerm(CirclePoint3(0.3 - 0.2j, 1.0), -3),
+                              DiracTerm(CirclePoint3(-0.4 + 0.5j, 5.0), 2)], v=0.5, b=0.1),
+     ((2.6, 3.5), (-0.4, 0.5), (-0.9, 0.0)), 0.03),
+], ids=["three-term", "unit", "charges-3-2"])
+def test_residual_matches_field_differences(make, box, h):
+    # the t-differences as column weights of the factor basis against
+    # differences of the fields themselves
+    m = make()
+    got = abelian.bogomolny_residual(m, box, h)
+    want = field_difference_residual(m, box, h)
+    assert want > 0.0
+    assert abs(got - want) <= 1e-12
+
+
 def test_per_node_mode_counts_match_global_count(monkeypatch):
     # every node summing the count of the grid's smallest r, as a reference
     m = three_term_monopole()
     h = 0.05
     axes = [np.arange(lo, hi + 0.5 * h, h) for lo, hi in BENCH_BOX]
-    fields = abelian._grid_fields(m, *axes, h)
+    fields = grid_fields(m, *axes, h)
     residual = abelian.bogomolny_residual(m, BENCH_BOX, h)
     per_node = green.bessel_modes
+    calls = []
 
     def global_count(r, tol, nu):
+        calls.append(r.size)
         M, _, _, bound = per_node(r, tol, nu)
         x = np.multiply.outer(r, np.arange(1, M.max() + 1, dtype=float))
         return np.full_like(M, M.max()), specfn.bessel_k0(x), specfn.bessel_k1(x), bound
 
     monkeypatch.setattr(green, "bessel_modes", global_count)
-    ref_fields = abelian._grid_fields(m, *axes, h)
+    ref_fields = grid_fields(m, *axes, h)
     ref_residual = abelian.bogomolny_residual(m, BENCH_BOX, h)
+    assert calls == [64 * 64] * 6  # three terms, twice
     for f, ref in zip(fields, ref_fields):
         assert np.abs(f - ref).max() <= 1e-14
     assert abs(residual - ref_residual) <= 1e-12
@@ -374,3 +434,11 @@ def test_bogomolny_region_guards():
         abelian.bogomolny_residual(m, ((0.1, 0.5), (0.0, 0.4), (1.0, 1.4)), 0.05)
     with pytest.raises(OutOfRegimeError):
         abelian.bogomolny_residual(m, ((3.0, 3.4), (0.0, 0.4), (3.0, 3.4)), 0.05)
+
+
+def test_bogomolny_center_guard_checks_every_node():
+    # every corner is 2.408 from the centre, outside 4h = 2.4, but the edge
+    # node (2, 0, 0) is only 2.0 away
+    box = ((2.0, 3.2), (-1.2, 1.2), (-0.6, 0.6))
+    with pytest.raises(OutOfRegimeError, match="too close to a singular center"):
+        abelian.bogomolny_residual(unit_monopole(), box, 0.6)

@@ -317,3 +317,51 @@ def test_green_eval_many_matches_green_eval():
         green.green_eval_many(p, [ORIGIN, p], 1e-10)
     with pytest.raises(ValueError):
         green.green_eval_many(p, centers, math.nan)
+
+
+#: property-test points: r in [0.2, 4] from the centre (ImageSum and
+#: Fourier-Bessel, |grad G| <= 1/(2 r^2)), at tolerances the image sum
+#: reaches within about 10^4 terms
+planar = st.builds(lambda r, a: r * np.exp(1j * a), st.floats(0.2, 4.0), st.floats(0.0, TWO_PI))
+circle = st.floats(-math.pi, math.pi)
+image_tol = st.floats(-9.0, -6.0).map(lambda e: 10.0**e)
+
+
+def seam_slack(g, tol):
+    """The truncated image sum is centred on the reduced offset dt in
+    (-pi, pi], so its t-gradient jumps across the seam dt = pi by
+    1/(4 pi^2 M^2) to leading order, just below its value bound
+    C(r)/M^2 <= tol; the Fourier-Bessel series is periodic term by term."""
+    return 2.0 * tol if g.regime is Regime.IMAGE_SUM else 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=planar, t=circle, n=st.integers(-3, 3).filter(bool), tol=image_tol)
+def test_green_periodic_in_t(z, t, n, tol):
+    g = green.green_eval(CirclePoint3(z, t), ORIGIN, tol)
+    shifted = green.green_eval(CirclePoint3(z, t + TWO_PI * n), ORIGIN, tol)
+    assert shifted.regime is g.regime and shifted.terms == g.terms
+    # the shifted t is rounded to a few ulps of 20 before it is reduced
+    assert abs(shifted.value - g.value) <= 1e-13
+    assert np.abs(shifted.grad - g.grad).max() <= 1e-12 + seam_slack(g, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=planar, t=circle, tol=image_tol)
+def test_green_even_under_reflection(z, t, tol):
+    g = green.green_eval(CirclePoint3(z, t), ORIGIN, tol)
+    mirror = green.green_eval(CirclePoint3(-z, -t), ORIGIN, tol)
+    assert mirror.regime is g.regime and mirror.terms == g.terms
+    assert abs(mirror.value - g.value) <= 1e-13
+    assert np.abs(mirror.grad + g.grad).max() <= 1e-12 + seam_slack(g, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.floats(0.5, 3.0, exclude_min=True), a=st.floats(0.0, TWO_PI), t=circle,
+       tol=image_tol)
+def test_fourier_bessel_and_image_sum_agree(r, a, t, tol):
+    p = CirclePoint3(r * np.exp(1j * a), t)
+    fb = green.green_eval(p, ORIGIN, 1e-13)
+    assert fb.regime is Regime.FOURIER_BESSEL
+    im = green.green_image_sum(p, ORIGIN, math.ceil(math.sqrt(green.image_tail_constant(r) / tol)))
+    assert abs(fb.value - im.value) <= fb.trunc_bound + im.trunc_bound + 1e-14
