@@ -140,6 +140,8 @@ def _single_periodic(m: AbelianMonopole) -> DiracTerm:
 
 #: Truncation tolerance of the grid fields: the rounding level of O(1) fields.
 _GRID_TOL = 1e-15
+_N_CIRCLE = 128  # trapezoid nodes on the fiber circle of holonomy_integral
+_N_WINDING = 720  # holonomy samples on the circle of winding_number
 
 
 def connection_radial_gauge(m: AbelianMonopole, p: CirclePoint3,
@@ -222,7 +224,7 @@ def _flux_through_fiber(r: np.ndarray, dt_nodes: np.ndarray) -> np.ndarray:
     return np.mean(g_r, axis=1) * TWO_PI * r
 
 
-def holonomy_integral(m: AbelianMonopole, z: complex, n_circle: int = 128) -> complex:
+def holonomy_integral(m: AbelianMonopole, z: complex) -> complex:
     """Integral-route holonomy: the derivative of the fiber integral of A in
     the base angle equals i times the flux of the curvature through the fiber
     (the circle integral of r d_r G). That flux is computed by quadrature; it
@@ -234,17 +236,17 @@ def holonomy_integral(m: AbelianMonopole, z: complex, n_circle: int = 128) -> co
     dz = complex(z) - np.array([t.center.z for t in periodic], dtype=complex)
     if np.any(dz == 0):
         raise SingularPointError("holonomy undefined through a singular center")
-    ts = np.arange(n_circle) * TWO_PI / n_circle
+    ts = np.arange(_N_CIRCLE) * TWO_PI / _N_CIRCLE
     flux = _flux_through_fiber(np.abs(dz), ts - np.array([t.center.t for t in periodic])[:, None])
     charge = np.array([t.charge for t in periodic], dtype=float)
     phase = TWO_PI * m.b + float(np.sum(charge * flux * np.angle(dz)))
     return cmath.exp(-1j * phase)
 
 
-def winding_number(m: AbelianMonopole, radius: float, n_samples: int = 720) -> int:
+def winding_number(m: AbelianMonopole, radius: float) -> int:
     """Integer winding of arg(holonomy) as z runs once around a circle that
     encloses every periodic center; equals minus the total periodic charge."""
-    angles = np.linspace(0.0, TWO_PI, n_samples + 1)
+    angles = np.linspace(0.0, TWO_PI, _N_WINDING + 1)
     arg = np.unwrap(-_holonomy_phase(m, radius * np.exp(1j * angles)))
     turns = (arg[-1] - arg[0]) / TWO_PI
     w = round(turns)

@@ -8,8 +8,10 @@ G is evaluated in three regimes that cover the punctured space:
   C(r)/M^2 with C(r) = (1/(3 pi) + r^2/pi^3)/4.
 * ``FourierBessel`` -- (1/2 pi) log r - (1/pi) sum_m K0(m r) cos(m dt),
   valid for r > 0 with geometric tail K0((M+1) r)/(pi (1 - e^{-r})).
-* ``Multipole``    -- a0/2 - 1/(2 rho) near the pole (rho < pi/2), with model
-  error bounded by C2 rho^2 for an empirically calibrated C2.
+* ``Multipole``    -- the Legendre-zeta series (Linton, Proc. R. Soc. A 455,
+  1999) a0/2 - 1/(2 rho) - sum_{k<=K} zeta(2k+1) S_2k/(2 pi)^(2k+1) for rho < pi/2,
+  S_n = rho^n P_n(dt/rho). As |P_n| <= 1, the tail is at most zeta(3)/(2 pi)
+  x^(K+1)/(1 - x), x = (rho/2 pi)^2; K = 0 gives a0/2 - 1/(2 rho) within 0.00517 rho^2.
 
 Every evaluation returns the value, the gradient (d/dx, d/dy, d/dt) and the
 certified truncation bound of the value for the regime used.
@@ -37,9 +39,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from . import specfn
 from .errors import OutOfRegimeError, SingularPointError, ToleranceUnreachableError
+from .specfn import A0
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,17 +51,14 @@ TWO_PI = 2.0 * math.pi
 RHO_SWITCH = 0.1
 R_SWITCH = 0.5
 
-#: multipole model error |G - (a0/2 - 1/(2 rho))| <= C2 rho^2 on rho < pi/2.
-#: Calibrated against the image sum: measured sup of residual/rho^2 over the
-#: whole regime is 0.00513 (0.0048 for rho < 0.15); 0.01 keeps a ~2x margin.
-C2_MULTIPOLE = 0.01
-
-A0 = specfn.a_constants(0)[0]
+#: Legendre-zeta c_k, k = 1..9 (x < 1/16 on rho < pi/2: tol >= _TOL_FLOOR needs K <= 9)
+_LZ_COEF = (special.zeta(np.arange(3.0, 20.0, 2.0)) / TWO_PI ** np.arange(3.0, 20.0, 2.0)).tolist()
+_LZ_TAIL = float(special.zeta(3.0)) / TWO_PI
 
 #: hard ceilings on series lengths before giving up on a tolerance
 _MAX_IMAGE_TERMS = 20_000_000
 _MAX_FOURIER_TERMS = 200_000
-_TOL_FLOOR = 1e-12
+_TOL_FLOOR = 1e-12  # near the pole; at rho = 1e-6 one ulp of |G| ~ 5e5 is 5.8e-11
 
 
 class Regime(enum.Enum):
@@ -276,17 +277,30 @@ def green_fourier_bessel(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 60)
                                  [M], k0[None, :M], k1[None, :], [bound])[0]
 
 
-def green_multipole(p: CirclePoint3, q: CirclePoint3 = ORIGIN) -> GreenEval:
-    """Near-pole model a0/2 - 1/(2 rho); valid for rho < pi/2."""
+def green_multipole(p: CirclePoint3, q: CirclePoint3 = ORIGIN, tol: float = 1e-10) -> GreenEval:
+    """Legendre-zeta series with the fewest terms K that meet tol; valid for rho < pi/2
+    and tol >= _TOL_FLOOR. The gradient uses d_t S_n = n S_{n-1} and R_n = (1/r) d_r S_n,
+    (n+1) R_{n+1} = (2n+1) dt R_n - n rho^2 R_{n-1} - 2n S_{n-1}, R_0 = R_1 = 0."""
     dx, dy, dt = _offsets(p, q)
     rho = math.sqrt(dx * dx + dy * dy + dt * dt)
     if rho == 0.0:
         raise SingularPointError("multipole model evaluated at its singular point")
     if rho >= math.pi / 2.0:
         raise OutOfRegimeError(f"multipole regime requires rho < pi/2, got rho={rho}")
-    value = 0.5 * A0 - 0.5 / rho
-    grad = np.array([dx, dy, dt]) / (2.0 * rho**3)
-    return GreenEval(value, grad, C2_MULTIPOLE * rho * rho, Regime.MULTIPOLE)
+    if not tol >= _TOL_FLOOR:
+        raise ToleranceUnreachableError(f"tol={tol} below the near-pole floor {_TOL_FLOOR}")
+    x = (rho / TWO_PI) ** 2
+    K = next(k for k in range(len(_LZ_COEF) + 1) if _LZ_TAIL * x ** (k + 1) / (1.0 - x) <= tol)
+    S, R = [1.0, dt], [0.0, 0.0]
+    for n in range(1, 2 * K):
+        S.append(((2 * n + 1) * dt * S[n] - n * rho * rho * S[n - 1]) / (n + 1))
+        R.append(((2 * n + 1) * dt * R[n] - n * rho * rho * R[n - 1] - 2 * n * S[n - 1]) / (n + 1))
+    c, d = _LZ_COEF[:K], 2.0 * rho**3
+    g_r = sum(ck * r for ck, r in zip(c, R[2::2]))
+    g_t = sum(ck * n * S[n - 1] for ck, n in zip(c, range(2, 2 * K + 1, 2)))
+    grad = np.array([dx / d - dx * g_r, dy / d - dy * g_r, dt / d - g_t])
+    return GreenEval(0.5 * A0 - 0.5 / rho - sum(ck * s for ck, s in zip(c, S[2::2])), grad,
+                     _LZ_TAIL * x ** (K + 1) / (1.0 - x), Regime.MULTIPOLE, terms=K)
 
 
 def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
@@ -295,10 +309,9 @@ def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
     trunc_bound <= tol; the Fourier-Bessel centres share one ``bessel_modes``
     call.
 
-    Multipole is used for rho < RHO_SWITCH when its model error meets tol,
-    Fourier-Bessel for r > R_SWITCH, and the image sum otherwise (also as the
-    fallback near the pole when tol beats the multipole model error).
-    Raises ToleranceUnreachableError for tol below the 1e-12 rounding floor.
+    Multipole is used for rho < RHO_SWITCH, Fourier-Bessel for r > R_SWITCH,
+    and the image sum otherwise. Raises ToleranceUnreachableError near the
+    pole for tol below the 1e-12 rounding floor.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -307,18 +320,8 @@ def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
     for i, q in enumerate(centers):
         dx, dy, dt = _offsets(p, q)
         r = math.hypot(dx, dy)
-        rho = math.sqrt(r * r + dt * dt)
-        if rho == 0.0:
-            raise SingularPointError("G evaluated at its singular point")
-        if rho < RHO_SWITCH:
-            if C2_MULTIPOLE * rho * rho <= tol:
-                out[i] = green_multipole(p, q)
-                continue
-            if tol < _TOL_FLOOR:
-                raise ToleranceUnreachableError(
-                    f"tol={tol} below the multipole model error and the {_TOL_FLOOR} floor"
-                )
-            out[i] = green_image_sum(p, q, math.ceil(math.sqrt(image_tail_constant(r) / tol)))
+        if math.sqrt(r * r + dt * dt) < RHO_SWITCH:  # the series rejects rho = 0
+            out[i] = green_multipole(p, q, tol)
         elif r > R_SWITCH:
             fb.append((i, dx, dy, dt, r))
         else:
@@ -340,12 +343,11 @@ def green_eval(p: CirclePoint3, q: CirclePoint3 = ORIGIN, tol: float = 1e-10) ->
     return green_eval_many(p, [q], tol)[0]
 
 
-def green_dt_zero_check(r: float, M: int | None = None) -> float:
-    """max(|d_t G(r, 0)|, |d_t G(r, pi)|) from the Fourier-Bessel gradient."""
+def green_dt_zero_check(r: float) -> float:
+    """max(|d_t G(r, 0)|, |d_t G(r, pi)|) from the Fourier-Bessel gradient at tail 1e-14."""
     if r <= 0.0:
         raise ValueError("r must be positive")
-    if M is None:
-        M = fourier_terms_for(r, 1e-14)
+    M = fourier_terms_for(r, 1e-14)
     out = 0.0
     for t in (0.0, math.pi):
         g = green_fourier_bessel(CirclePoint3(complex(r, 0.0), t), ORIGIN, M)

@@ -1,4 +1,4 @@
-"""Modified Bessel kernels K0, K1 and the regularization constants of the
+"""Modified Bessel kernels K0, K1 and the regularization constant a0 of the
 periodic Green's function.
 
 ``bessel_k0`` and ``bessel_k1`` validate their input and call
@@ -60,14 +60,9 @@ class Interval:
         return Interval(mid - rad, mid + rad)
 
 
-def a_constants(m_max: int) -> list[float]:
-    """Regularization constants of the periodic Green's function series:
-    a_0 = (log 4 pi - gamma)/pi and a_m = 1/(2 m pi) for m >= 1."""
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    out = [(math.log(4.0 * math.pi) - EULER_GAMMA) / math.pi]
-    out.extend(1.0 / (2.0 * m * math.pi) for m in range(1, m_max + 1))
-    return out
+#: a_0 = (log 4 pi - gamma)/pi, the regularization constant of the periodic
+#: Green's function: G = a0/2 - 1/(2 rho) + O(rho^2) at the pole
+A0 = (math.log(4.0 * math.pi) - EULER_GAMMA) / math.pi
 
 
 def _k_eval(x, nu: int):

@@ -126,10 +126,9 @@ def _mode_eigenvalues(m: int, n: int, n_phi: int, lam_max: float) -> np.ndarray:
     return vals
 
 
-def sphere_laplacian_oracle(m: int, l_cut: int, n_phi: int = 600,
-                            cluster_gap: float = 1e-3) -> OracleSpectrum:
+def sphere_laplacian_oracle(m: int, l_cut: int, n_phi: int = 600) -> OracleSpectrum:
     """Discretized spectrum of the charge-m sphere Laplacian up to the l_cut
-    eigenvalue, clustered with a relative gap threshold.
+    eigenvalue, clustered where neighbours differ by more than 1e-3 relative.
 
     Convergence is certified by a half-resolution Richardson comparison; if
     any reported eigenvalue moves by more than 5% the resolution is rejected.
@@ -162,7 +161,7 @@ def sphere_laplacian_oracle(m: int, l_cut: int, n_phi: int = 600,
     start = 0
     for i in range(1, vals.size + 1):
         ref = max(abs(vals[start]), 0.25)
-        if i == vals.size or abs(vals[i] - vals[i - 1]) > cluster_gap * ref:
+        if i == vals.size or abs(vals[i] - vals[i - 1]) > 1e-3 * ref:
             clusters.append(OracleCluster(float(np.mean(vals[start:i])), i - start))
             start = i
     return OracleSpectrum(m, vals, clusters)

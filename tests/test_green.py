@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -14,6 +14,7 @@ from permono.errors import OutOfRegimeError, SingularPointError, ToleranceUnreac
 from permono.green import ORIGIN, CirclePoint3, Regime
 
 TWO_PI = 2.0 * math.pi
+EPS = float(np.finfo(float).eps)
 
 
 def test_circle_point_normalization_and_distance():
@@ -114,14 +115,17 @@ def test_t_average_recovers_log():
 
 
 def test_multipole_residual_and_richardson_ratio():
-    # t-axis residuals: quadratic model error with Richardson ratio ~ 1/4
+    # t-axis residuals of the K = 0 model a0/2 - 1/(2 rho): inside its closed-form
+    # bound zeta(3) rho^2/(8 pi^3 (1 - x)) <= 0.00517 rho^2, quadratic with
+    # Richardson ratio ~ 1/4
     res = {}
     for rho in (0.2, 0.1, 0.05, 0.025):
         p = CirclePoint3(0.0, rho)
         gi = green.green_image_sum(p, ORIGIN, 30000)
-        model = 0.5 * green.A0 - 0.5 / rho
-        res[rho] = abs(gi.value - model)
-        assert res[rho] / rho**2 <= green.C2_MULTIPOLE
+        model = green.green_multipole(p, ORIGIN, tol=1.0)
+        assert model.terms == 0 and model.trunc_bound <= 0.00517 * rho**2
+        res[rho] = abs(gi.value - model.value)
+        assert res[rho] <= model.trunc_bound + gi.trunc_bound
     for hi, lo in [(0.2, 0.1), (0.1, 0.05), (0.05, 0.025)]:
         assert 0.2 <= res[lo] / res[hi] <= 0.3
 
@@ -130,8 +134,9 @@ def test_multipole_near_pole_agreement():
     rho = 0.01
     p = CirclePoint3(0.0, rho)
     gi = green.green_image_sum(p, ORIGIN, 20000)
-    gm = green.green_multipole(p, ORIGIN)
-    assert abs(gi.value - gm.value) <= green.C2_MULTIPOLE * 1e-4
+    gm = green.green_multipole(p, ORIGIN, tol=1e-12)
+    assert gi.trunc_bound <= 7e-11 and gm.trunc_bound <= 1e-12
+    assert abs(gi.value - gm.value) <= gi.trunc_bound + gm.trunc_bound + 1e-13
 
 
 def test_singular_part_dominates():
@@ -148,18 +153,104 @@ def test_multipole_domain_errors():
         green.green_multipole(CirclePoint3(0.0, 0.0), ORIGIN)
 
 
+@pytest.mark.parametrize("rho, tol", [
+    (1e-6, 1e-13),      # the K = 0 bound 5e-15 meets tol, but one ulp of |G| is 5.8e-11
+    (0.09, 9.99e-13),
+    (1.5, 1e-14),       # green_multipole alone, beyond RHO_SWITCH
+])
+def test_near_pole_tolerance_floor(rho, tol):
+    p = CirclePoint3(complex(rho), 0.0)
+    with pytest.raises(ToleranceUnreachableError):
+        green.green_multipole(p, ORIGIN, tol)
+    g = green.green_multipole(p, ORIGIN, 1e-12)
+    assert g.trunc_bound <= 1e-12
+    if rho < green.RHO_SWITCH:
+        with pytest.raises(ToleranceUnreachableError):
+            green.green_eval(p, ORIGIN, tol)
+        assert green.green_eval(p, ORIGIN, 1e-12).regime is Regime.MULTIPOLE
+
+
+def test_legendre_zeta_k0_is_the_model():
+    for p in (CirclePoint3(3e-4 - 2e-4j, 1e-4), CirclePoint3(0.0, TWO_PI - 0.02),
+              CirclePoint3(0.05j, 0.0)):
+        g = green.green_multipole(p, ORIGIN, tol=1e-4)
+        dx, dy, dt = green._offsets(p, ORIGIN)
+        rho = math.sqrt(dx * dx + dy * dy + dt * dt)
+        assert g.terms == 0
+        assert g.value == 0.5 * green.A0 - 0.5 / rho
+        np.testing.assert_array_equal(g.grad, np.array([dx, dy, dt]) / (2.0 * rho**3))
+
+
+def near_pole(rho_max):
+    """Points at rho log-uniform in [1e-6, rho_max] from ORIGIN in any
+    direction; polar angle 0 or pi puts them on the t-axis r = 0."""
+    def build(e, polar, az):
+        rho = 10.0**e
+        r = rho * math.sin(polar)
+        return CirclePoint3(complex(r * math.cos(az), r * math.sin(az)), rho * math.cos(polar))
+    return st.builds(build, st.floats(-6.0, math.log10(rho_max)), st.floats(0.0, math.pi),
+                     st.floats(0.0, TWO_PI))
+
+
+lz_tol = st.floats(-12.0, -4.0).map(lambda e: 10.0**e)
+
+
+def lz_tail(x, K):
+    """zeta(3)/(2 pi) x^(K+1)/(1 - x): the Legendre-zeta tail after K terms."""
+    return special.zeta(3.0) / TWO_PI * x ** (K + 1) / (1.0 - x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=near_pole(1.5707), tol=lz_tol)
+def test_legendre_zeta_bound_is_minimal_and_sound(p, tol):
+    g = green.green_multipole(p, ORIGIN, tol)
+    dx, dy, dt = green._offsets(p, ORIGIN)
+    rho = math.sqrt(dx * dx + dy * dy + dt * dt)
+    x = (rho / TWO_PI) ** 2
+    assert g.regime is Regime.MULTIPOLE
+    assert g.trunc_bound == lz_tail(x, g.terms) and g.trunc_bound <= tol
+    if g.terms > 0:
+        assert lz_tail(x, g.terms - 1) > tol  # K - 1 terms miss tol
+    oracle = green.green_image_sum(
+        p, ORIGIN, math.ceil(math.sqrt(green.image_tail_constant(math.hypot(dx, dy)) / 1e-12)))
+    rounding = 8.0 * EPS * (0.5 / rho + 1.0)
+    assert abs(g.value - oracle.value) <= g.trunc_bound + oracle.trunc_bound + rounding
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=near_pole(1.567), tol=lz_tol)
+def test_legendre_zeta_gradient_matches_central_differences(p, tol):
+    # fourth-order central differences of the series at its own K, step h = rho/1000:
+    # truncation ~ (h/rho)^4 |grad|; rounding of the values and of the shifted
+    # points (t is stored mod 2 pi, to 2 eps) ~ 4 eps (|G| + |grad|)/h
+    g = green.green_multipole(p, ORIGIN, tol)
+    h = 1e-3 * p.distance(ORIGIN)
+    fd = []
+    for e in np.eye(3):
+        v = {}
+        for s in (-2, -1, 1, 2):
+            q = CirclePoint3(p.z + s * h * complex(e[0], e[1]), p.t + s * h * e[2])
+            shifted = green.green_multipole(q, ORIGIN, tol)
+            assume(shifted.terms == g.terms)
+            v[s] = shifted.value
+        fd.append((8.0 * (v[1] - v[-1]) - (v[2] - v[-2])) / (12.0 * h))
+    scale = np.abs(g.grad).max()
+    allow = 1e-10 * scale + 4.0 * EPS * (abs(g.value) + scale) / h
+    assert np.abs(np.array(fd) - g.grad).max() <= allow
+
+
 def test_dispatcher_regime_selection():
     g = green.green_eval(CirclePoint3(5.0, 1.0), ORIGIN, tol=1e-10)
     assert g.regime is Regime.FOURIER_BESSEL
     g = green.green_eval(CirclePoint3(0.0, 1e-3), ORIGIN, tol=1e-5)
-    assert g.regime is Regime.MULTIPOLE
-    assert g.trunc_bound <= green.C2_MULTIPOLE * 1e-6
+    assert g.regime is Regime.MULTIPOLE and g.terms == 0
+    assert g.trunc_bound <= 0.00517 * 1e-6
     g = green.green_eval(CirclePoint3(0.3, 2.0), ORIGIN, tol=1e-10)
     assert g.regime is Regime.IMAGE_SUM
     assert g.trunc_bound <= 1e-10
-    # near the pole with tol below the model error: certified fallback
+    # near the pole with tol below the K = 0 bound: one more series term
     g = green.green_eval(CirclePoint3(0.05, 0.0), ORIGIN, tol=1e-9)
-    assert g.regime is Regime.IMAGE_SUM and g.trunc_bound <= 1e-9
+    assert g.regime is Regime.MULTIPOLE and g.terms == 1 and g.trunc_bound <= 1e-9
 
 
 def test_dispatcher_errors():
@@ -178,9 +269,7 @@ def test_dispatcher_meets_tolerance_across_space():
         if p.distance(ORIGIN) < 1e-3:
             continue
         tol = 10.0 ** rng.uniform(-11, -5)
-        g = green.green_eval(p, ORIGIN, tol)
-        if g.regime is not Regime.MULTIPOLE:
-            assert g.trunc_bound <= tol
+        assert green.green_eval(p, ORIGIN, tol).trunc_bound <= tol
 
 
 def test_regime_overlap_consistency():
@@ -299,7 +388,7 @@ def test_green_eval_many_matches_green_eval():
     p = CirclePoint3(0.4 - 0.3j, 1.1)
     centers = [
         CirclePoint3(0.4 - 0.3j, 1.1 + 5e-6),       # Multipole
-        CirclePoint3(0.43 - 0.3j, 1.14),            # ImageSum below the switch
+        CirclePoint3(0.43 - 0.3j, 1.14),            # Multipole, K > 0 below 1e-6
         CirclePoint3(0.1 - 0.1j, 3.0),              # ImageSum
         ORIGIN,                                     # ImageSum
     ] + [CirclePoint3(complex(*rng.uniform(-5, 5, 2)), rng.uniform(0, TWO_PI)) for _ in range(6)]
@@ -361,6 +450,7 @@ def test_green_even_under_reflection(z, t, tol):
        tol=image_tol)
 def test_fourier_bessel_and_image_sum_agree(r, a, t, tol):
     p = CirclePoint3(r * np.exp(1j * a), t)
+    assume(abs(p.z) > green.R_SWITCH)  # r = 0.5 + ulp can round back to |z| = 0.5
     fb = green.green_eval(p, ORIGIN, 1e-13)
     assert fb.regime is Regime.FOURIER_BESSEL
     im = green.green_image_sum(p, ORIGIN, math.ceil(math.sqrt(green.image_tail_constant(r) / tol)))
