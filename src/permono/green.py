@@ -1,17 +1,17 @@
 """The periodic Green's function G of R^2 x S^1 with a single pole.
 
-G is evaluated in three regimes that cover the punctured space:
+G has three regimes; ``green_eval_many`` takes each where stated (rho = |p - q|):
 
-* ``ImageSum``     -- the regularized sum over circle images, valid everywhere;
-  the tail after pairing the +/-m images is bounded by an explicit
-  second-order Taylor remainder, giving a certified truncation bound
-  C(r)/M^2 with C(r) = (1/(3 pi) + r^2/pi^3)/4.
-* ``FourierBessel`` -- (1/2 pi) log r - (1/pi) sum_m K0(m r) cos(m dt),
+* ``FourierBessel`` -- r > R_SWITCH: (1/2 pi) log r - (1/pi) sum_m K0(m r) cos(m dt),
   valid for r > 0 with geometric tail K0((M+1) r)/(pi (1 - e^{-r})).
-* ``Multipole``    -- the Legendre-zeta series (Linton, Proc. R. Soc. A 455,
-  1999) a0/2 - 1/(2 rho) - sum_{k<=K} zeta(2k+1) S_2k/(2 pi)^(2k+1) for rho < pi/2,
+* ``Multipole``    -- r <= R_SWITCH and rho < RHO_SERIES = pi/2 at tol >= _TOL_FLOOR, or
+  rho < RHO_SWITCH at any tol (a lower tol raises): the Legendre-zeta series (Linton,
+  Proc. R. Soc. A 455, 1999) a0/2 - 1/(2 rho) - sum_{k<=K} zeta(2k+1) S_2k/(2 pi)^(2k+1),
   S_n = rho^n P_n(dt/rho). As |P_n| <= 1, the tail is at most zeta(3)/(2 pi)
   x^(K+1)/(1 - x), x = (rho/2 pi)^2; K = 0 gives a0/2 - 1/(2 rho) within 0.00517 rho^2.
+* ``ImageSum``     -- the rest, rho >= pi/2 or tol < _TOL_FLOOR at rho >= RHO_SWITCH:
+  the regularized sum over circle images, valid everywhere; pairing the +/-m images
+  bounds its tail by a 2nd-order Taylor remainder C(r)/M^2, C(r) = (1/(3 pi) + r^2/pi^3)/4.
 
 Every evaluation returns the value, the gradient (d/dx, d/dy, d/dt) and the
 certified truncation bound of the value for the regime used.
@@ -47,9 +47,10 @@ from .specfn import A0
 
 TWO_PI = 2.0 * math.pi
 
-#: regime boundaries of the automatic dispatcher
+#: regime boundaries of the automatic dispatcher; the series is certified for rho < RHO_SERIES
 RHO_SWITCH = 0.1
 R_SWITCH = 0.5
+RHO_SERIES = math.pi / 2.0
 
 #: Legendre-zeta c_k, k = 1..9 (x < 1/16 on rho < pi/2: tol >= _TOL_FLOOR needs K <= 9)
 _LZ_COEF = (special.zeta(np.arange(3.0, 20.0, 2.0)) / TWO_PI ** np.arange(3.0, 20.0, 2.0)).tolist()
@@ -58,7 +59,8 @@ _LZ_TAIL = float(special.zeta(3.0)) / TWO_PI
 #: hard ceilings on series lengths before giving up on a tolerance
 _MAX_IMAGE_TERMS = 20_000_000
 _MAX_FOURIER_TERMS = 200_000
-_TOL_FLOOR = 1e-12  # near the pole; at rho = 1e-6 one ulp of |G| ~ 5e5 is 5.8e-11
+#: series floor (one ulp of |G| at rho = 1e-6 is 5.8e-11): below it rho < RHO_SWITCH raises
+_TOL_FLOOR = 1e-12  # ToleranceUnreachableError and RHO_SWITCH <= rho < RHO_SERIES takes ImageSum
 
 
 class Regime(enum.Enum):
@@ -283,9 +285,9 @@ def green_multipole(p: CirclePoint3, q: CirclePoint3 = ORIGIN, tol: float = 1e-1
     (n+1) R_{n+1} = (2n+1) dt R_n - n rho^2 R_{n-1} - 2n S_{n-1}, R_0 = R_1 = 0."""
     dx, dy, dt = _offsets(p, q)
     rho = math.sqrt(dx * dx + dy * dy + dt * dt)
-    if rho == 0.0:
-        raise SingularPointError("multipole model evaluated at its singular point")
-    if rho >= math.pi / 2.0:
+    if not 2.0 * rho**3 >= np.finfo(float).tiny:  # rho = 0, or grad's 1/(2 rho^3) subnormal
+        raise SingularPointError(f"multipole model evaluated at its singular point, rho={rho}")
+    if rho >= RHO_SERIES:
         raise OutOfRegimeError(f"multipole regime requires rho < pi/2, got rho={rho}")
     if not tol >= _TOL_FLOOR:
         raise ToleranceUnreachableError(f"tol={tol} below the near-pole floor {_TOL_FLOOR}")
@@ -309,9 +311,9 @@ def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
     trunc_bound <= tol; the Fourier-Bessel centres share one ``bessel_modes``
     call.
 
-    Multipole is used for rho < RHO_SWITCH, Fourier-Bessel for r > R_SWITCH,
-    and the image sum otherwise. Raises ToleranceUnreachableError near the
-    pole for tol below the 1e-12 rounding floor.
+    Fourier-Bessel takes r > R_SWITCH; inside, the series takes rho < RHO_SERIES at
+    tol >= _TOL_FLOOR and rho < RHO_SWITCH at any tol (raising below the floor), and
+    the image sum the rest: rho >= RHO_SERIES, or tol < _TOL_FLOOR at rho >= RHO_SWITCH.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -320,10 +322,11 @@ def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
     for i, q in enumerate(centers):
         dx, dy, dt = _offsets(p, q)
         r = math.hypot(dx, dy)
-        if math.sqrt(r * r + dt * dt) < RHO_SWITCH:  # the series rejects rho = 0
-            out[i] = green_multipole(p, q, tol)
-        elif r > R_SWITCH:
+        rho = math.sqrt(dx * dx + dy * dy + dt * dt)  # same rounding as green_multipole's check
+        if r > R_SWITCH:
             fb.append((i, dx, dy, dt, r))
+        elif rho < RHO_SWITCH or (rho < RHO_SERIES and tol >= _TOL_FLOOR):
+            out[i] = green_multipole(p, q, tol)  # raises SingularPointError at the pole
         else:
             M = math.ceil(math.sqrt(image_tail_constant(r) / tol))
             if M > _MAX_IMAGE_TERMS:

@@ -79,16 +79,18 @@ def three_term_monopole():
 
 def test_higgs_gradient_matches_central_differences():
     m = three_term_monopole()
-    tol, step = 1e-12, 1e-4
+    step = 1e-4
     far = CirclePoint3(2.5 + 1.5j, 1.0)
     near = CirclePoint3(0.9 + 0.6j + (0.2 + 0.1j), 0.6)
 
-    def regimes(p):
-        return {green.green_eval(p, term.center, tol).regime for term in m.terms}
+    def regimes(p, tol):
+        # higgs evaluates each term at tol / (number of terms)
+        return {green.green_eval(p, term.center, tol / len(m.terms)).regime for term in m.terms}
 
-    assert regimes(far) == {green.Regime.FOURIER_BESSEL}
-    assert green.Regime.IMAGE_SUM in regimes(near)
-    for p in (far, near):
+    assert regimes(far, 1e-12) == {green.Regime.FOURIER_BESSEL}
+    assert green.Regime.IMAGE_SUM in regimes(near, 1e-12)  # 3.3e-13 per term: below the floor
+    assert green.Regime.MULTIPOLE in regimes(near, 3e-12)  # 1e-12 per term: the series
+    for p, tol in ((far, 1e-12), (near, 1e-12), (near, 3e-12)):
         got = abelian.higgs_gradient(m, p, tol)
         fd = []
         for e in (1.0, 1j):

@@ -151,12 +151,15 @@ def test_multipole_domain_errors():
         green.green_multipole(CirclePoint3(2.0, 0.0), ORIGIN)
     with pytest.raises(SingularPointError):
         green.green_multipole(CirclePoint3(0.0, 0.0), ORIGIN)
+    with pytest.raises(SingularPointError):  # 2 rho^3 underflows: no finite gradient
+        green.green_eval(CirclePoint3(0.0, 3e-133), ORIGIN)
 
 
 @pytest.mark.parametrize("rho, tol", [
     (1e-6, 1e-13),      # the K = 0 bound 5e-15 meets tol, but one ulp of |G| is 5.8e-11
     (0.09, 9.99e-13),
-    (1.5, 1e-14),       # green_multipole alone, beyond RHO_SWITCH
+    (1.5, 1e-14),       # green_multipole alone, beyond R_SWITCH
+    (0.3, 1e-13),       # the band RHO_SWITCH <= rho < RHO_SERIES: the image sum takes over
 ])
 def test_near_pole_tolerance_floor(rho, tol):
     p = CirclePoint3(complex(rho), 0.0)
@@ -167,7 +170,12 @@ def test_near_pole_tolerance_floor(rho, tol):
     if rho < green.RHO_SWITCH:
         with pytest.raises(ToleranceUnreachableError):
             green.green_eval(p, ORIGIN, tol)
-        assert green.green_eval(p, ORIGIN, 1e-12).regime is Regime.MULTIPOLE
+    elif rho <= green.R_SWITCH:
+        g = green.green_eval(p, ORIGIN, tol)
+        assert g.regime is Regime.IMAGE_SUM and g.trunc_bound <= tol
+    if rho <= green.R_SWITCH:
+        g = green.green_eval(p, ORIGIN, 1e-12)
+        assert g.regime is Regime.MULTIPOLE and g.trunc_bound <= 1e-12
 
 
 def test_legendre_zeta_k0_is_the_model():
@@ -245,12 +253,45 @@ def test_dispatcher_regime_selection():
     g = green.green_eval(CirclePoint3(0.0, 1e-3), ORIGIN, tol=1e-5)
     assert g.regime is Regime.MULTIPOLE and g.terms == 0
     assert g.trunc_bound <= 0.00517 * 1e-6
-    g = green.green_eval(CirclePoint3(0.3, 2.0), ORIGIN, tol=1e-10)
+    g = green.green_eval(CirclePoint3(0.3, 2.0), ORIGIN, tol=1e-10)  # rho > RHO_SERIES
     assert g.regime is Regime.IMAGE_SUM
     assert g.trunc_bound <= 1e-10
+    # the band RHO_SWITCH <= rho < RHO_SERIES: the series at the floor, the image sum below it
+    g = green.green_eval(CirclePoint3(0.3, 1.0), ORIGIN, tol=1e-12)
+    assert g.regime is Regime.MULTIPOLE and g.terms <= 9 and g.trunc_bound <= 1e-12
+    g = green.green_eval(CirclePoint3(0.3, 1.0), ORIGIN, tol=1e-13)
+    assert g.regime is Regime.IMAGE_SUM and g.trunc_bound <= 1e-13
     # near the pole with tol below the K = 0 bound: one more series term
     g = green.green_eval(CirclePoint3(0.05, 0.0), ORIGIN, tol=1e-9)
     assert g.regime is Regime.MULTIPOLE and g.terms == 1 and g.trunc_bound <= 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(z=st.builds(lambda r, a: r * np.exp(1j * a), st.floats(0.0, 0.5), st.floats(0.0, TWO_PI)),
+       t=st.floats(-math.pi, math.pi), tol=st.floats(-14.0, -6.0).map(lambda e: 10.0**e))
+def test_dispatcher_follows_the_regime_rule(z, t, tol):
+    # inside the cylinder r <= R_SWITCH: the series where it is certified, the
+    # image sum on the shell rho >= RHO_SERIES and below the floor, an error
+    # below the floor at rho < RHO_SWITCH
+    p = CirclePoint3(z, t)
+    dx, dy, dt = green._offsets(p, ORIGIN)
+    r, rho = math.hypot(dx, dy), math.sqrt(dx * dx + dy * dy + dt * dt)
+    pole = not 2.0 * rho**3 >= np.finfo(float).tiny  # no finite gradient
+    if pole or (rho < green.RHO_SWITCH and tol < green._TOL_FLOOR):
+        with pytest.raises(SingularPointError if pole else ToleranceUnreachableError):
+            green.green_eval(p, ORIGIN, tol)
+        return
+    g = green.green_eval(p, ORIGIN, tol)
+    assert g.trunc_bound <= tol
+    if r > green.R_SWITCH:  # |z| = 0.5 can round up
+        assert g.regime is Regime.FOURIER_BESSEL
+    elif rho < green.RHO_SWITCH or (rho < green.RHO_SERIES and tol >= green._TOL_FLOOR):
+        assert g.regime is Regime.MULTIPOLE
+        m = green.green_multipole(p, ORIGIN, tol)
+        assert (g.value, g.trunc_bound, g.terms) == (m.value, m.trunc_bound, m.terms)
+        np.testing.assert_array_equal(g.grad, m.grad)
+    else:
+        assert g.regime is Regime.IMAGE_SUM
 
 
 def test_dispatcher_errors():
@@ -390,7 +431,7 @@ def test_green_eval_many_matches_green_eval():
         CirclePoint3(0.4 - 0.3j, 1.1 + 5e-6),       # Multipole
         CirclePoint3(0.43 - 0.3j, 1.14),            # Multipole, K > 0 below 1e-6
         CirclePoint3(0.1 - 0.1j, 3.0),              # ImageSum
-        ORIGIN,                                     # ImageSum
+        ORIGIN,                                     # Multipole, RHO_SWITCH < rho < RHO_SERIES
     ] + [CirclePoint3(complex(*rng.uniform(-5, 5, 2)), rng.uniform(0, TWO_PI)) for _ in range(6)]
     for tol in (1e-6, 1e-10, 1e-12):
         many = green.green_eval_many(p, centers, tol)
@@ -408,9 +449,9 @@ def test_green_eval_many_matches_green_eval():
         green.green_eval_many(p, centers, math.nan)
 
 
-#: property-test points: r in [0.2, 4] from the centre (ImageSum and
-#: Fourier-Bessel, |grad G| <= 1/(2 r^2)), at tolerances the image sum
-#: reaches within about 10^4 terms
+#: property-test points: r in [0.2, 4] from the centre (every regime,
+#: |grad G| <= 1/(2 r^2)), at tolerances the image sum reaches within
+#: about 10^4 terms
 planar = st.builds(lambda r, a: r * np.exp(1j * a), st.floats(0.2, 4.0), st.floats(0.0, TWO_PI))
 circle = st.floats(-math.pi, math.pi)
 image_tol = st.floats(-9.0, -6.0).map(lambda e: 10.0**e)
