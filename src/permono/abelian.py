@@ -4,18 +4,10 @@ gauge in the exterior region, holonomy around circle fibers, large-distance
 asymptotics of a translated center, the scaling action, and a grid residual
 for the abelian Bogomolny equation curl(a) = grad(phi).
 
-The grid residual never builds the fields on the grid. It works on their
-rank-K factors, whose t-basis rows are 1, cos(m dt) (phi) and
-1/2 - dt/(2 pi), sin(m dt) (a_x, a_y). On the uniform t-grid the central
-difference of each row is a weighted row of the other basis:
-
-    cos(m(dt+h)) - cos(m(dt-h)) = -2 sin(mh) sin(m dt),
-    sin(m(dt+h)) - sin(m(dt-h)) =  2 sin(mh) cos(m dt),
-
-the linear row differences to -h/pi times the constant row, and the
-constant row to 0. The identities are exact on the grid because the box
-keeps every node at least 4h from the gauge seam dt = pi, so dt does not
-wrap inside any stencil.
+The grid residual works on rank-K factors of the fields over exact
+t-difference identities, sweeping the x-rows in slabs of _SLAB_ROWS with each
+kept K0/K1 value computed once: memory O(K ny _SLAB_ROWS) for the slab buffers
+plus O(nx ny) per term for the planar arrays (``bogomolny_residual``).
 
 Conventions. Connections are written A = i(a_theta dtheta + a_t dt) with real
 coefficients; FieldSample carries the real parts. The exterior radial gauge
@@ -35,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import green
+from . import green, specfn
 from .errors import OutOfRegimeError, SingularPointError
 from .green import CirclePoint3, reduce_angle_signed
 
@@ -67,6 +59,8 @@ class AbelianMonopole:
     b: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.v) and math.isfinite(self.b)):
+            raise ValueError(f"vacuum pair must be finite, got v={self.v}, b={self.b}")
         self.b = float(self.b) % 1.0
         centers = [t.center for t in self.terms]
         for i in range(len(centers)):
@@ -280,32 +274,29 @@ def euclidean_limit_profile(r: float, t: float) -> float:
     return 1.0 - 0.5 / math.hypot(r, t)
 
 
-def _grid_factors(m: AbelianMonopole, X: np.ndarray, Y: np.ndarray, T: np.ndarray, h: float):
-    """Rank-K factors of the grid fields on the tensor grid X x Y x T:
-
-        phi = Fp @ C,    a_x = Fx @ S,    a_y = Fy @ S,
-
-    Fp, Fx, Fy of shape (nx, ny, K), the t-bases C, S of shape (K, nt). Column
-    0 carries the constant v of phi (C[0] = 1, S[0] = 0, Fx = Fy = 0); each
-    periodic term adds its log/linear column and M Fourier-Bessel modes,
+def _grid_planes(m: AbelianMonopole, X: np.ndarray, Y: np.ndarray, T: np.ndarray, h: float):
+    """Per-term planar arrays (r, counts, log/linear column values) and the
+    t-bases C, S (K, nt) of the grid fields phi = v + sum_k Fp[k] C[k],
+    a_x = sum_k Fx[k] S[k], a_y = sum_k Fy[k] S[k] on X x Y x T, whose
+    mode-major factors (K, rows, ny) ``_factor_rows`` builds for a row range.
+    Each periodic term adds its log/linear column and M Fourier-Bessel modes,
 
         phi     = k log r/(2 pi) - (k/pi) sum_m K0(m r) cos(m dt),
         a_theta = k (1/2 - dt/(2 pi)) - (k r/pi) sum_m K1(m r) sin(m dt),
 
     with a_x = -a_theta dy/r^2 and a_y = a_theta dx/r^2; a_t = b is constant.
-    Each node keeps its own count, sized from its r K1 tail, and its columns
+    Each node keeps its own count, sized from its r K1 tail, and its modes
     beyond it are 0; for r >= 1 that tail also bounds the K0 tail of phi
     (K0 < K1), so both truncation errors are <= _GRID_TOL at every node.
 
-    sigma and tau (K,) are the column weights of the central t-difference
-    times 2h: it maps F @ S to (sigma F) @ C and F @ C to (tau F) @ S at the
-    interior t nodes (see ``bogomolny_residual``).
+    sigma, tau (K,) are the t-difference column weights of ``bogomolny_residual``.
 
     Raises OutOfRegimeError unless every node has r >= 2 and lies at least 4h
     from every centre and from every gauge seam dt = pi.
     """
     Z = X[:, None] + 1j * Y[None, :]
-    blocks = []
+    planes = []
+    C, S, sigma, tau = [np.empty((0, T.size))], [np.empty((0, T.size))], [[]], [[]]
     for term in m.terms:
         if term.kind is not Kind.PERIODIC:
             raise ValueError("grid residual supports periodic terms only")
@@ -315,42 +306,45 @@ def _grid_factors(m: AbelianMonopole, X: np.ndarray, Y: np.ndarray, T: np.ndarra
             raise OutOfRegimeError("box crosses the radial-gauge seam dt = pi")
         dz = Z - term.center.z
         r2 = dz.real * dz.real + dz.imag * dz.imag
-        # on a tensor grid the node nearest the centre pairs the smallest
-        # planar and circle offsets
+        # the grid node nearest the centre pairs the smallest planar and circle offsets
         if np.min(r2) + np.min(dt * dt) < (4.0 * h) ** 2:
             raise OutOfRegimeError("grid region too close to a singular center")
         if np.min(r2) < 4.0:
             raise OutOfRegimeError("grid extends below the radial-gauge region r >= 2")
-        r = np.sqrt(r2)
-        _, k0, k1, _ = green.bessel_modes(r.ravel(), _GRID_TOL / abs(term.charge), 1)
-        blocks.append((term.charge, dz, r, dt, k0, k1))
-    K = 1 + sum(k0.shape[1] + 1 for *_, k0, _ in blocks)
-    Fp, Fx, Fy = (np.empty(Z.shape + (K,)) for _ in range(3))
-    C, S = np.empty((K, T.size)), np.empty((K, T.size))
-    sigma, tau = np.empty(K), np.empty(K)
-    Fp[..., 0], Fx[..., 0], Fy[..., 0] = m.v, 0.0, 0.0
-    C[0], S[0], sigma[0], tau[0] = 1.0, 0.0, 0.0, 0.0
-    c = 1
-    for k, dz, r, dt, k0, k1 in blocks:
-        M = k0.shape[1]
-        modes = slice(c + 1, c + 1 + M)
-        mode = np.arange(1, M + 1, dtype=float)
-        k0, k1 = k0.reshape(Z.shape + (M,)), k1.reshape(Z.shape + (M,))
-        Fp[..., c] = (k / TWO_PI) * np.log(r)
-        np.multiply(k0, -k / math.pi, out=Fp[..., modes])
-        Fx[..., c] = -k * dz.imag / (r * r)
-        np.multiply(k1, ((k / math.pi) * dz.imag / r)[..., None], out=Fx[..., modes])
-        Fy[..., c] = k * dz.real / (r * r)
-        np.multiply(k1, ((-k / math.pi) * dz.real / r)[..., None], out=Fy[..., modes])
+        k, r = term.charge, np.sqrt(r2)
+        counts = green._mode_counts(r, _GRID_TOL / abs(k), 1)
+        planes.append((k, r, counts, (k / TWO_PI) * np.log(r), -k * dz.imag / r2, k * dz.real / r2))
+        mode = np.arange(1, counts.max() + 1, dtype=float)
         mt = np.multiply.outer(mode, dt)
-        C[c], S[c] = 1.0, 0.5 - dt / TWO_PI
-        np.cos(mt, out=C[modes])
-        np.sin(mt, out=S[modes])
-        sigma[c], tau[c] = -h / math.pi, 0.0
-        sigma[modes] = 2.0 * np.sin(mode * h)
-        tau[modes] = -sigma[modes]
-        c += M + 1
-    return Fp, Fx, Fy, C, S, sigma, tau
+        C += [np.ones((1, T.size)), np.cos(mt)]
+        S += [0.5 - dt[None, :] / TWO_PI, np.sin(mt)]
+        sigma += [[-h / math.pi], 2.0 * np.sin(mode * h)]
+        tau += [[0.0], -2.0 * np.sin(mode * h)]
+    return planes, np.vstack(C), np.vstack(S), np.concatenate(sigma), np.concatenate(tau)
+
+
+def _factor_rows(planes, lo: int, hi: int, Fp, Fx, Fy) -> None:
+    """Grid rows lo..hi-1 of the factors of ``_grid_planes`` into Fp, Fx, Fy of
+    shape (K, hi - lo, ny). K0 and K1 are evaluated once each, at the kept
+    (node, mode <= count) pairs only, and scattered into the mode planes."""
+    rows, c = slice(lo, hi), 0
+    for k, r, counts, log_col, x_col, y_col in planes:
+        Fp[c], Fx[c], Fy[c] = log_col[rows], x_col[rows], y_col[rows]
+        mode = np.arange(1, counts.max() + 1, dtype=float)[:, None, None]
+        p, fx, fy = (F[c + 1:c + 1 + mode.size] for F in (Fp, Fx, Fy))
+        keep = mode <= counts[rows]
+        x = (mode * r[rows])[keep]
+        p[...], fx[...] = 0.0, 0.0
+        p[keep] = specfn.bessel_k0(x) * (-k / math.pi)
+        fx[keep] = specfn.bessel_k1(x)
+        # mode weights (k/pi) dy/r of a_x and -(k/pi) dx/r of a_y
+        np.multiply(fx, y_col[rows] * r[rows] / -math.pi, out=fy)
+        fx *= x_col[rows] * r[rows] / -math.pi
+        c += mode.size + 1
+
+
+#: interior x-rows per slab of the residual sweep
+_SLAB_ROWS = 16
 
 
 def bogomolny_residual(m: AbelianMonopole, box, h: float) -> float:
@@ -362,7 +356,7 @@ def bogomolny_residual(m: AbelianMonopole, box, h: float) -> float:
     only the corners) and from the gauge seam dt = pi.
 
     The fields are never built on the grid. The t-difference (times 2h) of
-    each basis row of ``_grid_factors`` is a weighted row of the other basis:
+    each basis row of ``_grid_planes`` is a weighted row of the other basis:
 
         cos(m(dt+h)) - cos(m(dt-h)) = -2 sin(mh) sin(m dt),
         sin(m(dt+h)) - sin(m(dt-h)) =  2 sin(mh) cos(m dt),
@@ -370,44 +364,50 @@ def bogomolny_residual(m: AbelianMonopole, box, h: float) -> float:
 
     and the constant row differences to 0. These are exact because the 4h
     seam margin keeps every stencil inside one branch (-pi, pi) of dt, so dt
-    never wraps within it. With the x- and y-differences taken on the
-    factors, the three components (times 2h) at the interior nodes are
+    never wraps within it. With Dx, Dy the x- and y-differences of the factors,
+    each component (times 2h) at the interior nodes is one matrix product:
 
-        -r_x = (sigma Fy + Dx Fp) @ C,   r_y = (sigma Fx - Dy Fp) @ C,
-         r_t = (Dx Fy - Dy Fx - tau Fp) @ S,
+        -r_x = C^T (sigma Fy + Dx Fp),   r_y = C^T (sigma Fx - Dy Fp),
+         r_t = S^T (Dx Fy - Dy Fx - tau Fp).
 
-    one (interior nodes, K) @ (K, interior t) product each."""
-    (x0, x1), (y0, y1), (t0, t1) = box
-    X = np.arange(x0, x1 + 0.5 * h, h)
-    Y = np.arange(y0, y1 + 0.5 * h, h)
-    T = np.arange(t0, t1 + 0.5 * h, h)
+    The interior x-rows are swept in slabs of _SLAB_ROWS: a slab's factor rows
+    and a halo row on either side sit in (K, _SLAB_ROWS + 2, ny) buffers reused
+    by every slab, and the two rows a slab shares with the next are carried
+    over. Memory: O(K ny _SLAB_ROWS) plus O(nx ny) per term for the planes."""
+    if not (0.0 < h < math.inf and np.isfinite(box).all()):
+        raise ValueError("mesh h must be finite and positive, and the box edges finite")
+    X, Y, T = (np.arange(lo, hi + 0.5 * h, h) for lo, hi in box)
     if min(X.size, Y.size, T.size) < 3:
         raise ValueError("box too small for the stencil at this mesh")
-    Fp, Fx, Fy, C, S, sigma, tau = _grid_factors(m, X, Y, T, h)
-    C, S = C[:, 1:-1], S[:, 1:-1]
-
-    # left factors of -r_x, r_y and -r_t, the differences added in place:
-    # every fresh page faults, so no further temporary of this size is made,
-    # and the grid factors are dropped before the products
-    inner = (slice(1, -1), slice(1, -1))
-    lx = sigma * Fy[inner]
-    lx += Fp[2:, 1:-1]
-    lx -= Fp[:-2, 1:-1]
-    ly = sigma * Fx[inner]
-    ly -= Fp[1:-1, 2:]
-    ly += Fp[1:-1, :-2]
-    lt = tau * Fp[inner]
-    lt -= Fy[2:, 1:-1]
-    lt += Fy[:-2, 1:-1]
-    lt += Fx[1:-1, 2:]
-    lt -= Fx[1:-1, :-2]
-    del Fp, Fx, Fy
-    K = sigma.size
-    res = lx.reshape(-1, K) @ C
-    res *= res
-    part = np.empty_like(res)
-    for left, basis in ((ly, C), (lt, S)):
-        np.matmul(left.reshape(-1, K), basis, out=part)
-        part *= part
-        res += part
-    return float(np.sqrt(res.max())) / (2.0 * h)
+    planes, C, S, sigma, tau = _grid_planes(m, X, Y, T, h)
+    CT, ST = C[:, 1:-1].T, S[:, 1:-1].T
+    K, nx, ny = sigma.size, X.size, Y.size
+    F, left = np.empty((3, K, _SLAB_ROWS + 2, ny)), np.empty(K * _SLAB_ROWS * (ny - 2))
+    res, sq = np.empty((2, CT.shape[0] * _SLAB_ROWS * (ny - 2)))
+    inner, xp, xm = np.s_[:, 1:-1, 1:-1], np.s_[:, 2:, 1:-1], np.s_[:, :-2, 1:-1]
+    yp, ym = np.s_[:, 1:-1, 2:], np.s_[:, 1:-1, :-2]
+    worst = 0.0
+    _factor_rows(planes, 0, 2, *F[:, :, _SLAB_ROWS:])  # as if a slab ended at row 1
+    for a in range(1, nx - 1, _SLAB_ROWS):  # interior rows a..a+n-1, grid rows a-1..a+n
+        n = min(_SLAB_ROWS, nx - 1 - a)
+        F[:, :, :2] = F[:, :, _SLAB_ROWS:]  # the two rows shared with the previous slab
+        _factor_rows(planes, a + 1, a + n + 1, *F[:, :, 2:n + 2])
+        Fp, Fx, Fy = F[:, :, :n + 2]
+        L = left[:K * n * (ny - 2)].reshape(K, n, ny - 2)
+        acc, part = (b[:CT.shape[0] * n * (ny - 2)].reshape(CT.shape[0], -1) for b in (res, sq))
+        # left factors of -r_x, r_y and -r_t, each difference added in place
+        for j, (basis, w, base, diffs) in enumerate((
+                (CT, sigma, Fy, ((Fp, xp, xm),)),
+                (CT, sigma, Fx, ((Fp, ym, yp),)),
+                (ST, tau, Fp, ((Fy, xm, xp), (Fx, yp, ym))))):
+            np.multiply(w[:, None, None], base[inner], out=L)
+            for G, plus, minus in diffs:
+                L += G[plus]
+                L -= G[minus]
+            out = part if j else acc
+            np.matmul(basis, L.reshape(K, n * (ny - 2)), out=out)
+            out *= out
+            if j:
+                acc += part
+        worst = max(worst, float(acc.max()))
+    return math.sqrt(worst) / (2.0 * h)

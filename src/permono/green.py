@@ -196,8 +196,8 @@ def _mode_counts(r: np.ndarray, tol, nu: int) -> np.ndarray:
     r^nu sqrt(pi/2)/tol); two contracting fixed-point steps give x, and the
     integer M is then made exact against the majorant itself."""
     r = np.asarray(r, dtype=float)
-    if not (np.asarray(tol) > 0.0).all():
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if (r <= 0.0).any():
         raise SingularPointError("Fourier-Bessel regime requires r > 0")
     if not np.isfinite(r).all():
@@ -210,7 +210,7 @@ def _mode_counts(r: np.ndarray, tol, nu: int) -> np.ndarray:
     M = np.ceil(x / r) - 1.0
     if (M > _MAX_FOURIER_TERMS).any():
         raise ToleranceUnreachableError(
-            f"tol={np.min(tol)} unreachable in Fourier-Bessel at r={r.min()}")
+            f"tol={tol} unreachable in Fourier-Bessel at r={r.min()}")
     while True:
         short = pref * k_majorant((M + 1.0) * r, nu) > tol
         spare = (M > 0.0) & (pref * k_majorant(np.maximum(M, 1.0) * r, nu) <= tol)
@@ -315,8 +315,8 @@ def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
     tol >= _TOL_FLOOR and rho < RHO_SWITCH at any tol (raising below the floor), and
     the image sum the rest: rho >= RHO_SERIES, or tol < _TOL_FLOOR at rho >= RHO_SWITCH.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     out: list[GreenEval | None] = [None] * len(centers)
     fb = []
     for i, q in enumerate(centers):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,11 @@ def test_term_validation():
         DiracTerm(ORIGIN, 0)
     with pytest.raises(ValueError):
         AbelianMonopole([DiracTerm(ORIGIN, 1), DiracTerm(CirclePoint3(0, TWO_PI), 1)])
+    for v, b in ((math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan), (0.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            AbelianMonopole([], v=v, b=b)
+    with pytest.raises(ValueError, match="finite"):
+        abelian.higgs(unit_monopole(), CirclePoint3(3.0, 0.0), math.inf)
 
 
 def test_higgs_vacuum_everywhere():
@@ -104,9 +110,13 @@ def test_higgs_gradient_matches_central_differences():
 
 
 def grid_fields(m, X, Y, T, h):
-    """phi, a_x and a_y on the grid as products of the residual's factors."""
-    Fp, Fx, Fy, C, S, _, _ = abelian._grid_factors(m, X, Y, T, h)
-    return Fp @ C, Fx @ S, Fy @ S
+    """phi, a_x and a_y on the grid as products of the residual's factors,
+    with the row-range builder called for all rows."""
+    planes, C, S, _, _ = abelian._grid_planes(m, X, Y, T, h)
+    Fp, Fx, Fy = np.empty((3, C.shape[0], X.size, Y.size))
+    abelian._factor_rows(planes, 0, X.size, Fp, Fx, Fy)
+    phi, a_x, a_y = (np.tensordot(F, basis, (0, 0)) for F, basis in ((Fp, C), (Fx, S), (Fy, S)))
+    return m.v + phi, a_x, a_y
 
 
 def test_grid_fields_match_pointwise_fields():
@@ -190,13 +200,22 @@ def field_difference_residual(m, box, h):
     return float(np.sqrt((res_x**2 + res_y**2 + res_t**2).max())) / (2.0 * h)
 
 
+def slab_box(nx):
+    """A box with nx x-nodes at h = 0.05 for the three-term monopole."""
+    box = ((3.2, 3.2 + 0.05 * (nx - 1)), (-0.5, 0.5), (-0.5, 0.5))
+    assert np.arange(box[0][0], box[0][1] + 0.025, 0.05).size == nx
+    return box
+
+
 @pytest.mark.parametrize("make, box, h", [
     (three_term_monopole, BENCH_BOX, 0.05),
     (lambda: unit_monopole(v=0.5, b=0.1), ((2.5, 4.5), (-1.0, 1.0), (-1.0, 1.5)), 0.1),
     (lambda: AbelianMonopole([DiracTerm(CirclePoint3(0.3 - 0.2j, 1.0), -3),
                               DiracTerm(CirclePoint3(-0.4 + 0.5j, 5.0), 2)], v=0.5, b=0.1),
      ((2.6, 3.5), (-0.4, 0.5), (-0.9, 0.0)), 0.03),
-], ids=["three-term", "unit", "charges-3-2"])
+    # 3, 18 and 37 x-nodes: less than one slab, exactly one, and not a multiple
+    *((three_term_monopole, slab_box(nx), 0.05) for nx in (3, 18, 37)),
+], ids=["three-term", "unit", "charges-3-2", "x3", "x18", "x37"])
 def test_residual_matches_field_differences(make, box, h):
     # the t-differences as column weights of the factor basis against
     # differences of the fields themselves
@@ -207,6 +226,23 @@ def test_residual_matches_field_differences(make, box, h):
     assert abs(got - want) <= 1e-12
 
 
+def test_residual_memory_is_bounded_by_the_slab():
+    # tracemalloc peak of one call: the slab buffers do not grow with nx
+    m = three_term_monopole()
+    longer = ((3.2, 3.2 + 0.05 * 255), *BENCH_BOX[1:])
+    peaks = []
+    for box in (BENCH_BOX, longer):
+        abelian.bogomolny_residual(m, box, 0.05)
+        tracemalloc.start()
+        try:
+            abelian.bogomolny_residual(m, box, 0.05)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 4e6
+    assert peaks[1] <= 2.0 * peaks[0]
+
+
 def test_per_node_mode_counts_match_global_count(monkeypatch):
     # every node summing the count of the grid's smallest r, as a reference
     m = three_term_monopole()
@@ -214,19 +250,18 @@ def test_per_node_mode_counts_match_global_count(monkeypatch):
     axes = [np.arange(lo, hi + 0.5 * h, h) for lo, hi in BENCH_BOX]
     fields = grid_fields(m, *axes, h)
     residual = abelian.bogomolny_residual(m, BENCH_BOX, h)
-    per_node = green.bessel_modes
+    per_node = green._mode_counts
     calls = []
 
     def global_count(r, tol, nu):
-        calls.append(r.size)
-        M, _, _, bound = per_node(r, tol, nu)
-        x = np.multiply.outer(r, np.arange(1, M.max() + 1, dtype=float))
-        return np.full_like(M, M.max()), specfn.bessel_k0(x), specfn.bessel_k1(x), bound
+        calls.append(r.shape)
+        M = per_node(r, tol, nu)
+        return np.full_like(M, M.max())
 
-    monkeypatch.setattr(green, "bessel_modes", global_count)
+    monkeypatch.setattr(green, "_mode_counts", global_count)
     ref_fields = grid_fields(m, *axes, h)
     ref_residual = abelian.bogomolny_residual(m, BENCH_BOX, h)
-    assert calls == [64 * 64] * 6  # three terms, twice
+    assert calls == [(64, 64)] * 6  # three terms, twice, each on the whole planar grid
     for f, ref in zip(fields, ref_fields):
         assert np.abs(f - ref).max() <= 1e-14
     assert abs(residual - ref_residual) <= 1e-12
@@ -437,6 +472,19 @@ def test_bogomolny_region_guards():
         abelian.bogomolny_residual(m, ((0.1, 0.5), (0.0, 0.4), (1.0, 1.4)), 0.05)
     with pytest.raises(OutOfRegimeError):
         abelian.bogomolny_residual(m, ((3.0, 3.4), (0.0, 0.4), (3.0, 3.4)), 0.05)
+
+
+def test_bogomolny_rejects_bad_mesh_and_box():
+    m = unit_monopole()
+    box = ((3.0, 3.4), (0.0, 0.4), (1.0, 1.4))
+    for h in (0.0, -0.05, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            abelian.bogomolny_residual(m, box, h)
+    for edge in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            abelian.bogomolny_residual(m, ((3.0, edge), (0.0, 0.4), (1.0, 1.4)), 0.05)
+        with pytest.raises(ValueError, match="finite"):
+            abelian.bogomolny_residual(m, ((3.0, 3.4), (0.0, 0.4), (edge, 1.4)), 0.05)
 
 
 def test_bogomolny_center_guard_checks_every_node():

@@ -299,8 +299,9 @@ def test_dispatcher_errors():
         green.green_eval(CirclePoint3(0.0, 0.0), ORIGIN, 1e-8)
     with pytest.raises(ToleranceUnreachableError):
         green.green_eval(CirclePoint3(0.01, 0.0), ORIGIN, tol=1e-13)
-    with pytest.raises(ValueError):
-        green.green_eval(CirclePoint3(1.0, 0.0), ORIGIN, tol=-1.0)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            green.green_eval(CirclePoint3(1.0, 0.0), ORIGIN, tol=bad)
 
 
 def test_dispatcher_meets_tolerance_across_space():
@@ -404,8 +405,9 @@ def test_bessel_modes_rows_zero_beyond_their_count():
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             green.bessel_modes(np.array([1.0, bad]), 1e-12, 0)
-    with pytest.raises(ValueError):
-        green.bessel_modes(r, 0.0, 1)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            green.bessel_modes(r, bad, 1)
 
 
 def fourier_bessel_oracle(r, t):
