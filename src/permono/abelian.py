@@ -91,39 +91,36 @@ def _periodic_terms(m: AbelianMonopole) -> list[DiracTerm]:
     return [t for t in m.terms if t.kind is Kind.PERIODIC]
 
 
-def higgs(m: AbelianMonopole, p: CirclePoint3, tol: float = 1e-10) -> float:
-    """v + sum of charge-weighted Green's/Coulomb profiles at p."""
-    val = m.v
+def _higgs_terms(m: AbelianMonopole, p: CirclePoint3, tol: float) -> tuple[float, np.ndarray]:
+    """Value and gradient (d/dx, d/dy, d/dt) of the Higgs field at p: v plus
+    each periodic term's k G at tol / (number of terms) and each Euclidean
+    term's Coulomb profile -k/(2 rho), rho taken at the circle offset reduced
+    to (-pi, pi]."""
     n = max(len(m.terms), 1)
     periodic = _periodic_terms(m)
+    val, grad = m.v, np.zeros(3)
     for term, g in zip(periodic, green.green_eval_many(p, [t.center for t in periodic], tol / n)):
         val += term.charge * g.value
+        grad += term.charge * g.grad
     for term in m.terms:
         if term.kind is Kind.EUCLIDEAN:
-            rho = p.distance(term.center)
+            d = np.array(green._offsets(p, term.center))
+            rho = math.sqrt(float(d @ d))
             if rho == 0.0:
                 raise SingularPointError("Higgs field evaluated at a singular center")
             val -= term.charge / (2.0 * rho)
-    return val
+            grad += term.charge * d / (2.0 * rho**3)
+    return val, grad
+
+
+def higgs(m: AbelianMonopole, p: CirclePoint3, tol: float = 1e-10) -> float:
+    """v + sum of charge-weighted Green's/Coulomb profiles at p."""
+    return _higgs_terms(m, p, tol)[0]
 
 
 def higgs_gradient(m: AbelianMonopole, p: CirclePoint3, tol: float = 1e-10) -> np.ndarray:
     """Gradient (d/dx, d/dy, d/dt) of the Higgs field at p."""
-    out = np.zeros(3)
-    n = max(len(m.terms), 1)
-    periodic = _periodic_terms(m)
-    for term, g in zip(periodic, green.green_eval_many(p, [t.center for t in periodic], tol / n)):
-        out += term.charge * g.grad
-    for term in m.terms:
-        if term.kind is Kind.EUCLIDEAN:
-            dx = p.z.real - term.center.z.real
-            dy = p.z.imag - term.center.z.imag
-            dt = reduce_angle_signed(p.t - term.center.t)
-            rho = math.sqrt(dx * dx + dy * dy + dt * dt)
-            if rho == 0.0:
-                raise SingularPointError("gradient at a singular center")
-            out += term.charge * np.array([dx, dy, dt]) / (2.0 * rho**3)
-    return out
+    return _higgs_terms(m, p, tol)[1]
 
 
 def _single_periodic(m: AbelianMonopole) -> DiracTerm:
@@ -254,8 +251,8 @@ class RescaledPair:
     on R^2 x (R / 2 pi lam Z) with the Higgs field scaled as a 1-form."""
 
     def __init__(self, monopole: AbelianMonopole, lam: float):
-        if lam <= 0.0:
-            raise ValueError("scaling ratio must be positive")
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"scaling ratio must be positive and finite, got {lam}")
         self.monopole = monopole
         self.lam = lam
 

@@ -17,8 +17,10 @@ Every evaluation returns the value, the gradient (d/dx, d/dy, d/dt) and the
 certified truncation bound of the value for the regime used.
 
 Every Fourier-Bessel sum of the package (G here; the grid fields, the radial
-gauge and the fiber flux in ``abelian``) takes its radial factors from one
-kernel, ``bessel_modes``. It sizes each row in closed form: M is the smallest
+gauge and the fiber flux in ``abelian``) is sized by one rule, ``_mode_counts``.
+G, the radial gauge and the fiber flux take their radial factors from
+``bessel_modes``; the grid fields (``abelian._factor_rows``) call ``specfn``
+directly with those counts. Each row is sized in closed form: M is the smallest
 count with pref(r) r^nu Kmaj_nu((M+1) r) <= tol, pref(r) = 1/(pi (1 - e^{-r})),
 where the majorants
 

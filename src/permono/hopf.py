@@ -180,13 +180,16 @@ def _dtheta2(p: Quat4Point) -> np.ndarray:
 def lift_dirac_connection(k: int, mass: float, p: Quat4Point, chart: str) -> LiftedForm:
     """u(1) coefficient of the lifted charge-k, mass `mass` Dirac monopole:
 
-        w = k (half-angle profile) (dtheta1 + dtheta2) + (k - 2 rho mass) theta0,
+        w = k dtheta1 - 2 mass rho theta0 (chart '+'),   -k dtheta2 - 2 mass rho theta0 (chart '-'),
 
-    assembled from the standard two-chart sphere connection pulled back
-    through the projection and the theta0-term carrying h^{-1} Phi. For
-    mass 0 the form equals k dtheta1 (chart +) so the connection is flat; the
-    mass term contributes the constant anti-self-dual curvature
-    -4 mass (dx12 - dx34).
+    with rho theta0 = x1 dx2 - x2 dx1 - x3 dx4 + x4 dx3 (``fiber_tangent``). This
+    is ``lift_form`` of the base Dirac pair a+- = (k/2)(+-1 - cos theta) dphi,
+    psi = mass - k/(2 rho): with z1 = sqrt(rho) cos(theta/2) e^{i theta1} and
+    z2 = sqrt(rho) sin(theta/2) e^{i theta2}, phi = theta1 + theta2 and
+    theta0 = cos^2(theta/2) dtheta1 - sin^2(theta/2) dtheta2, so pi^* a+ + k theta0
+    = k dtheta1 and pi^* a- + k theta0 = -k dtheta2, while -(psi/h) theta0 =
+    (k - 2 mass rho) theta0. The charge part is closed off its axis, and
+    d(rho theta0) = 2 (dx12 - dx34) gives ``dirac_curvature_analytic``.
 
     The chart is '+' or '-' and has no automatic choice: a form differenced
     over a stencil must keep one gauge at every stencil point, and a
@@ -194,21 +197,10 @@ def lift_dirac_connection(k: int, mass: float, p: Quat4Point, chart: str) -> Lif
     """
     if chart not in ("+", "-"):
         raise ValueError(f"chart must be '+' or '-', got {chart!r}")
-    chart = _chart(p, chart)
-    rho = p.rho
-    r1sq, r2sq = abs(p.z1) ** 2, abs(p.z2) ** 2
-    theta0 = gibbons_hawking_connection(p).components
-    if chart == "+":
-        x1, x2, x3, x4 = p.as_array()
-        ang = k * (r2sq / rho) * np.array([-x2, x1, 0.0, 0.0]) / r1sq
-        if r2sq > 0.0:
-            ang = ang + k * (1.0 / rho) * np.array([0.0, 0.0, -x4, x3])
-    else:
-        x1, x2, x3, x4 = p.as_array()
-        ang = -k * (1.0 / rho) * np.array([-x2, x1, 0.0, 0.0])
-        if r2sq > 0.0:
-            ang = ang - k * (r1sq / rho) * np.array([0.0, 0.0, -x4, x3]) / r2sq
-    return LiftedForm(ang + (k - 2.0 * rho * mass) * theta0, p)
+    if not math.isfinite(mass):
+        raise ValueError(f"mass must be finite, got {mass}")
+    charge = k * _dtheta1(p) if _chart(p, chart) == "+" else -k * _dtheta2(p)
+    return LiftedForm(charge - 2.0 * mass * fiber_tangent(p), p)
 
 
 def singular_gauge_phase(k: int, p: Quat4Point, chart: str = "auto") -> complex:
@@ -261,13 +253,6 @@ def curvature_norm_sq_lifted(F: np.ndarray) -> float:
 def dirac_curvature_analytic(mass: float) -> np.ndarray:
     """Exact curvature of the lifted Dirac connection: -4 mass (dx12 - dx34)."""
     return np.array([-4.0 * mass, 0.0, 0.0, 0.0, 0.0, 4.0 * mass])
-
-
-def lifted_curvature_norm_expected(k: int, mass: float, rho: float) -> float:
-    """|F_hat|^2 in g_hat forced by the lift formula and the Bogomolny
-    equation: 2 |d(h^{-1} Phi)|^2 = 8 mass^2 (independent of k and rho; the
-    charge part of the lift is flat)."""
-    return 8.0 * mass * mass
 
 
 def pullback_base_two_form(beta: np.ndarray, p: Quat4Point) -> np.ndarray:

@@ -10,11 +10,11 @@ derivatives on flat space) throughout, which is what makes
 -omega lap(omega) + |grad omega|^2 = +2 hold; the analyst's sign would give
 -2/(1+r^2).
 
-All solvers use second-order central differences on uniform meshes with
-truncation pushed below mesh error: the cylinder is cut at T + 20/gamma^+
-with the exact decaying-branch Robin condition u' + gamma^+ u = 0, exterior
-domains at 10 R (or R + 16/mu for screened modes) with the per-mode
-harmonic/decaying condition.
+All solvers share one three-point solver (``_robin_solve``): second-order
+central differences on a uniform mesh with truncation pushed below mesh
+error: the cylinder is cut at T + 20/gamma^+ with the exact decaying-branch
+Robin condition u' + gamma^+ u = 0, exterior domains at 10 R (or R + 16/mu
+for screened modes) with the per-mode harmonic/decaying condition.
 """
 
 from __future__ import annotations
@@ -39,10 +39,55 @@ _EXCEPTIONAL_GUARD = 1e-9
 
 def gamma_roots(lam: float) -> tuple[float, float]:
     """Indicial roots gamma^+- = -1/2 +- sqrt(1/4 + lambda)."""
-    if lam < 0.0:
-        raise ValueError("lambda must be >= 0")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     s = math.sqrt(0.25 + lam)
     return -0.5 + s, -0.5 - s
+
+
+#: fewest cells of a model grid; the cylinder's decay fit over [0.5 n, 0.8 n)
+#: needs 8 nodes, which n >= 27 gives.
+_MIN_CELLS = 32
+
+
+def _robin_solve(x0: float, x_max: float, mesh: float, drift, pot, f, phi: float,
+                 q: float, rate: float = 0.0) -> tuple[np.ndarray, np.ndarray, float]:
+    """Solve -u'' + drift(x) u' + pot(x) u = f(x), u(x0) = phi, u'(x_max) = q u(x_max)
+    by central differences on the uniform grid of [x0, x_max] nearest to `mesh`;
+    drift and pot are callables of the nodes, f is one or None (f = 0). The
+    Robin end eliminates the ghost node u_{N+1} = u_{N-1} + 2 h q u_N from the
+    last row. Returns (x, u, h).
+
+    Raises ValueError unless mesh > 0 and x0 < x_max are finite, and
+    UnderResolvedError when the grid has fewer than _MIN_CELLS cells or
+    mesh * rate > 1/4 (too coarse for e^{-rate x}).
+    """
+    if not (0.0 < mesh < math.inf and math.isfinite(x0) and x0 < x_max < math.inf):
+        raise ValueError(f"mesh must be finite and > 0 on a finite interval, "
+                         f"got {mesh} on [{x0}, {x_max}]")
+    if mesh * rate > 0.25:
+        raise UnderResolvedError(f"mesh {mesh} cannot resolve e^(-{rate} x)")
+    n = int(round((x_max - x0) / mesh))
+    if n < _MIN_CELLS:
+        raise UnderResolvedError(f"mesh {mesh} leaves {n} < {_MIN_CELLS} cells on [{x0}, {x_max}]")
+    h = (x_max - x0) / n
+    x = x0 + h * np.arange(n + 1)
+    xi = x[1:]
+    b = np.zeros(n)
+    if f is not None:
+        b[:] = f(xi)
+    adv = np.broadcast_to(drift(xi), (n,)) / (2.0 * h)
+    lower = -1.0 / h**2 - adv
+    upper = -1.0 / h**2 + adv
+    main = 2.0 / h**2 + np.broadcast_to(pot(xi), (n,))
+    b[0] -= lower[0] * phi
+    lower[-1] += upper[-1]
+    main[-1] += 2.0 * h * q * upper[-1]
+    ab = np.zeros((3, n))
+    ab[0, 1:] = upper[:-1]
+    ab[1, :] = main
+    ab[2, :-1] = lower[1:]
+    return x, np.concatenate([[phi], solve_banded((1, 1), ab, b)]), h
 
 
 # ---------------------------------------------------------------------------
@@ -94,33 +139,10 @@ def cylinder_solve(p: CylinderProblem, mesh: float) -> CylinderSolution:
     """Solve the half-cylinder Dirichlet problem, selecting the decaying
     branch at the far end, and fit the decay rate of |u|."""
     gp, _ = gamma_roots(p.lam)
-    if mesh <= 0.0:
-        raise ValueError("mesh must be positive")
-    if mesh * gp > 0.25:
-        raise UnderResolvedError(f"mesh {mesh} cannot resolve e^(-{gp} tau)")
-    window = 20.0 / gp if gp > 1.0 else 20.0
-    window = min(max(window, 8.0), 200.0)
-    n = int(round(window / mesh))
-    h = window / n
-    tau = p.T + h * np.arange(n + 1)
-
-    rhs = np.zeros(n)
-    if p.f is not None:
-        rhs[:] = p.f(tau[1:])
-    lower = np.full(n, -1.0 / h**2 - 1.0 / (2.0 * h))
-    main = np.full(n, 2.0 / h**2 + p.lam)
-    upper = np.full(n, -1.0 / h**2 + 1.0 / (2.0 * h))
-    rhs[0] -= lower[0] * p.phi
-    # far end: ghost node from u' + gp u = 0
-    lower[-1] = -2.0 / h**2
-    main[-1] = (2.0 + 2.0 * h * gp) / h**2 - gp + p.lam
-
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = main
-    ab[2, :-1] = lower[1:]
-    u = solve_banded((1, 1), ab, rhs)
-    u = np.concatenate([[p.phi], u])
+    window = min(max(20.0 / gp if gp > 1.0 else 20.0, 8.0), 200.0)
+    # the decaying branch: u' + gp u = 0 at the far end
+    tau, u, h = _robin_solve(p.T, p.T + window, mesh, lambda x: 1.0, lambda x: p.lam,
+                             p.f, p.phi, -gp, rate=gp)
     return CylinderSolution(tau, u, _fit_decay_rate(tau, u), gp, h)
 
 
@@ -160,8 +182,8 @@ class Sector:
         if self.kind is SectorKind.OSCILLATORY:
             return float(self.mode * self.mode)
         if self.kind is SectorKind.OFF_DIAGONAL:
-            if self.coercivity is None or self.coercivity <= 0.0:
-                raise CoercivityError("off-diagonal sector requires coercivity > 0")
+            if self.coercivity is None or not 0.0 < self.coercivity < math.inf:
+                raise CoercivityError("off-diagonal sector requires finite coercivity > 0")
             return float(self.coercivity)
         raise ValueError("the invariant diagonal sector carries no mass")
 
@@ -174,6 +196,10 @@ class ExteriorModeProblem:
     f: Callable[[np.ndarray], np.ndarray] | None = None
     phi: float = 0.0
 
+    def __post_init__(self):
+        if not 0.0 < self.R < math.inf:
+            raise ValueError(f"R must be positive and finite, got {self.R}")
+
 
 @dataclass
 class ExteriorSolution:
@@ -182,28 +208,6 @@ class ExteriorSolution:
     u_far: float
     fitted_power: float
     mesh: float
-
-
-def _radial_solve(r: np.ndarray, h: float, pot: np.ndarray, rhs: np.ndarray,
-                  phi: float, far_log_deriv: float) -> np.ndarray:
-    """-u'' - u'/r + pot(r) u = rhs, u(r0)=phi, u'(r_max) = far_log_deriv * u."""
-    n = r.size - 1
-    ri = r[1:]
-    lower = -1.0 / h**2 + 1.0 / (2.0 * h * ri)
-    main = 2.0 / h**2 + pot[1:]
-    upper = -1.0 / h**2 - 1.0 / (2.0 * h * ri)
-    b = rhs.copy()
-    b[0] -= lower[0] * phi
-    # ghost from u_{N+1} = u_{N-1} + 2 h q u_N with q = far_log_deriv
-    q = far_log_deriv
-    lower[-1] = -2.0 / h**2
-    main[-1] = 2.0 / h**2 + pot[-1] - 2.0 * q / h - q / r[-1]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = main
-    ab[2, :-1] = lower[1:]
-    u = solve_banded((1, 1), ab, b)
-    return np.concatenate([[phi], u])
 
 
 def exterior_diagonal_solve(p: ExteriorModeProblem, mesh: float) -> ExteriorSolution:
@@ -215,21 +219,10 @@ def exterior_diagonal_solve(p: ExteriorModeProblem, mesh: float) -> ExteriorSolu
         raise ValueError("exterior_diagonal_solve needs the invariant diagonal sector")
     if not (-1.0 < p.delta < 0.0):
         raise WeightRangeError(f"delta={p.delta} outside (-1, 0)")
-    if p.R <= 0.0:
-        raise ValueError("R must be positive")
     n_mode = abs(p.sector.mode)
     r_max = 10.0 * p.R
-    n = int(round((r_max - p.R) / mesh))
-    if n < 16:
-        raise UnderResolvedError("mesh too coarse for the exterior domain")
-    h = (r_max - p.R) / n
-    r = p.R + h * np.arange(n + 1)
-    pot = (n_mode / r) ** 2 if n_mode else np.zeros_like(r)
-    rhs = np.zeros(n)
-    if p.f is not None:
-        rhs[:] = p.f(r[1:])
-    q = 0.0 if n_mode == 0 else -n_mode / r_max
-    u = _radial_solve(r, h, pot, rhs, p.phi, q)
+    r, u, h = _robin_solve(p.R, r_max, mesh, lambda r: -1.0 / r, lambda r: (n_mode / r) ** 2,
+                           p.f, p.phi, -n_mode / r_max)
 
     u_far = float(u[-1])
     sel = (r >= 4.0 * p.R) & (r <= 7.0 * p.R)
@@ -260,23 +253,13 @@ def exterior_coercive_solve(p: ExteriorModeProblem, mesh: float) -> CoerciveSolu
     (|u'|^2 + mu^2 u^2 measure r dr) / |f|^2 and the fitted exponential decay
     slope of sqrt(r) u beyond the source support."""
     mu = math.sqrt(p.sector.mass_sq)
-    if p.R <= 0.0:
-        raise ValueError("R must be positive")
     r_max = max(10.0 * p.R, p.R + 16.0 / mu)
-    n = int(round((r_max - p.R) / mesh))
-    if n < 16:
-        raise UnderResolvedError("mesh too coarse for the exterior domain")
-    h = (r_max - p.R) / n
-    r = p.R + h * np.arange(n + 1)
-    rhs = np.zeros(n)
-    if p.f is not None:
-        rhs[:] = p.f(r[1:])
-    pot = np.full_like(r, mu * mu)
-    u = _radial_solve(r, h, pot, rhs, p.phi, -(mu + 0.5 / r_max))
+    r, u, h = _robin_solve(p.R, r_max, mesh, lambda r: -1.0 / r, lambda r: mu * mu,
+                           p.f, p.phi, -(mu + 0.5 / r_max))
 
     du = np.gradient(u, h)
     energy_u = float(np.trapezoid((du**2 + mu * mu * u**2) * r, dx=h))
-    f_all = np.zeros(n + 1)
+    f_all = np.zeros(r.size)
     if p.f is not None:
         f_all[:] = p.f(r)
     energy_f = float(np.trapezoid(f_all**2 * r, dx=h))
@@ -379,10 +362,10 @@ def poincare_constant_check(R: float, delta: float, trials: int,
     logarithmic window, which attain ratios >= 0.2 for |delta| >= 0.1 and
     R in [1/2, 2], so the test has power.
     """
-    if delta == 0.0:
-        raise WeightRangeError("delta must be nonzero")
-    if R <= 0.0:
-        raise ValueError("R must be positive")
+    if not (math.isfinite(delta) and delta != 0.0):
+        raise WeightRangeError(f"delta must be finite and nonzero, got {delta}")
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R must be positive and finite, got {R}")
     rng = np.random.default_rng(seed)
     span = _POINCARE_LOG_SPAN
     s = np.linspace(0.0, span, n_grid)

@@ -87,6 +87,8 @@ def is_exceptional(delta: float, m: int, j_max: int = 64,
     j_max must index far enough that |delta| < gamma^+_{j_max}; otherwise the
     scan could miss a root beyond the window.
     """
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     spec = operator_L_spectrum(m, j_max)
     top = spec.entries[-1].gamma_plus
     if abs(delta) >= top:

@@ -96,15 +96,18 @@ def test_higgs_gradient_matches_central_differences():
     assert regimes(far, 1e-12) == {green.Regime.FOURIER_BESSEL}
     assert green.Regime.IMAGE_SUM in regimes(near, 1e-12)  # 3.3e-13 per term: below the floor
     assert green.Regime.MULTIPOLE in regimes(near, 3e-12)  # 1e-12 per term: the series
-    for p, tol in ((far, 1e-12), (near, 1e-12), (near, 3e-12)):
-        got = abelian.higgs_gradient(m, p, tol)
+    # the same monopole with a Euclidean term
+    euclid = DiracTerm(CirclePoint3(2.0 + 1.0j, 1.0 - 2.8), -1, Kind.EUCLIDEAN)
+    mixed = AbelianMonopole(m.terms + [euclid], v=1.0, b=0.25)
+    for mono, p, tol in ((m, far, 1e-12), (m, near, 1e-12), (m, near, 3e-12), (mixed, far, 1e-12)):
+        got = abelian.higgs_gradient(mono, p, tol)
         fd = []
         for e in (1.0, 1j):
-            up = abelian.higgs(m, CirclePoint3(p.z + step * e, p.t), tol)
-            dn = abelian.higgs(m, CirclePoint3(p.z - step * e, p.t), tol)
+            up = abelian.higgs(mono, CirclePoint3(p.z + step * e, p.t), tol)
+            dn = abelian.higgs(mono, CirclePoint3(p.z - step * e, p.t), tol)
             fd.append((up - dn) / (2 * step))
-        up = abelian.higgs(m, CirclePoint3(p.z, p.t + step), tol)
-        dn = abelian.higgs(m, CirclePoint3(p.z, p.t - step), tol)
+        up = abelian.higgs(mono, CirclePoint3(p.z, p.t + step), tol)
+        dn = abelian.higgs(mono, CirclePoint3(p.z, p.t - step), tol)
         fd.append((up - dn) / (2 * step))
         assert np.abs(got - np.array(fd)).max() <= 1e-6 * (1.0 + np.abs(got).max())
 
@@ -145,7 +148,8 @@ def test_higgs_is_vacuum_plus_charge_weighted_green():
     tol = 1e-10
     n = len(m.terms)
     for p in (CirclePoint3(2.5 + 1.5j, 1.0), CirclePoint3(1.1 + 0.7j, 0.6),
-              CirclePoint3(1e-5j, 2e-5), CirclePoint3(-3.0 - 2.0j, 4.0)):
+              CirclePoint3(1e-5j, 2e-5), CirclePoint3(-3.0 - 2.0j, 4.0),
+              CirclePoint3(1.5 - 2.0j, 5.0)):  # t - 1.0 = 4.0 reduces to 4.0 - 2 pi
         want = m.v
         want_grad = np.zeros(3)
         for term in m.terms[:3]:
@@ -417,6 +421,13 @@ def test_rescale_identity():
     ev = abelian.rescale(m, 1.0)
     p = CirclePoint3(1.0 + 0.2j, 0.7)
     assert ev.higgs(p.z, p.t) == abelian.higgs(m, p)
+
+
+def test_rescale_rejects_bad_ratio():
+    m = AbelianMonopole([DiracTerm(CirclePoint3(1.0, 0.0), 1)], v=1.0)
+    for lam in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            abelian.rescale(m, lam)
 
 
 def test_rescale_large_mass_euclidean_limit():

@@ -157,9 +157,30 @@ def test_curvature_matches_analytic_constant():
                 lambda q: hopf.lift_dirac_connection(1, mass, q, base_chart(p)), p, 1e-2
             )
             assert np.abs(F - hopf.dirac_curvature_analytic(mass)).max() <= 1e-9
+            # the charge part of the lift is flat, so by the Bogomolny equation
+            # |F|^2 = 2 |d(h^{-1} Phi)|^2 = 2 |d(2 mass rho theta0)|^2 = 8 mass^2,
+            # whatever the charge and the point
             got = hopf.curvature_norm_sq_lifted(F)
-            want = hopf.lifted_curvature_norm_expected(1, mass, p.rho)
+            want = 8.0 * mass**2
             assert abs(got - want) <= 1e-8 * max(1.0, want)
+
+
+def test_lift_matches_lift_form_of_dirac_pair():
+    # the closed form against lift_form of a+- = (k/2)(+-1 - cos theta) dphi,
+    # psi = mass - k/(2 rho), built on the base at X = hopf_project(p)
+    rng = np.random.default_rng(70)
+    worst = 0.0
+    for p in rand_points(200, seed=71, lo=0.05, hi=1.5):
+        X = hopf.hopf_project(p)
+        rho = float(np.linalg.norm(X))
+        k, mass = int(rng.integers(-3, 4)), float(rng.uniform(-2.0, 2.0))
+        for chart, sign in (("+", 1.0), ("-", -1.0)):
+            f = 0.5 * k * (sign - X[0] / rho) / (X[1] ** 2 + X[2] ** 2)
+            a = np.array([0.0, -f * X[2], f * X[1]])  # f (X2 dX3 - X3 dX2)
+            want = hopf.lift_form(a, mass - k / (2.0 * rho), p).components
+            got = hopf.lift_dirac_connection(k, mass, p, chart).components
+            worst = max(worst, np.abs(got - want).max() / max(1.0, np.abs(want).max()))
+    assert worst <= 1e-12
 
 
 def test_equivariance_of_lift_and_gauge_weight():
@@ -194,6 +215,12 @@ def test_lift_chart_is_explicit():
     with pytest.raises(ValueError):
         hopf.singular_gauge_phase(1, p, chart="x")
     assert hopf.singular_gauge_phase(1, p, chart="auto") == hopf.singular_gauge_phase(1, p, chart="+")
+
+
+@pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf])
+def test_lift_rejects_non_finite_mass(mass):
+    with pytest.raises(ValueError, match="finite"):
+        hopf.lift_dirac_connection(1, mass, Quat4Point(0.8, 0.3j), "+")
 
 
 @pytest.mark.parametrize("mass", [0.5, 2.0])

@@ -19,8 +19,9 @@ def test_gamma_roots():
     gp, gm = ms.gamma_roots(0.75)
     assert (gp, gm) == (0.5, -1.5)
     assert ms.gamma_roots(0.0) == (0.0, -1.0)
-    with pytest.raises(ValueError):
-        ms.gamma_roots(-1.0)
+    for lam in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ms.gamma_roots(lam)
 
 
 def test_cylinder_constant_solution():
@@ -85,6 +86,17 @@ def test_cylinder_guards():
     ms.CylinderProblem(lam=0.75, delta=0.5 + 1e-6)  # off the root: fine
     with pytest.raises(UnderResolvedError):
         ms.cylinder_solve(ms.CylinderProblem(lam=20.0, delta=0.3), 0.5)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ms.CylinderProblem(lam=lam)
+    # too few cells for the grid and its decay fit (the window is 20 at lam = 0)
+    for mesh in (100.0, 3.0, 1.0):
+        with pytest.raises(UnderResolvedError):
+            ms.cylinder_solve(ms.CylinderProblem(lam=0.0), mesh)
+    for lam in (0.0, 2.0):
+        for mesh in (0.0, -1e-2, math.nan, math.inf):
+            with pytest.raises(ValueError, match="mesh must be finite"):
+                ms.cylinder_solve(ms.CylinderProblem(lam=lam), mesh)
 
 
 def test_exterior_diagonal_constant_mode():
@@ -124,6 +136,15 @@ def test_exterior_diagonal_guards():
         ms.exterior_diagonal_solve(
             ms.ExteriorModeProblem(ms.Sector.oscillatory(1), R=1.0), 1e-3
         )
+    for R in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="R must be positive and finite"):
+            ms.ExteriorModeProblem(sec, R=R)
+    p = ms.ExteriorModeProblem(sec, R=1.0)
+    for mesh in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="mesh must be finite"):
+            ms.exterior_diagonal_solve(p, mesh)
+    with pytest.raises(UnderResolvedError):
+        ms.exterior_diagonal_solve(p, 0.5)  # 18 cells on [1, 10]
 
 
 def test_coercive_zero_data_and_guards():
@@ -132,10 +153,16 @@ def test_coercive_zero_data_and_guards():
     assert np.abs(sol.u).max() == 0.0 and sol.energy_ratio == 0.0
     with pytest.raises(ValueError):
         ms.Sector.oscillatory(0)
-    with pytest.raises(CoercivityError):
-        ms.exterior_coercive_solve(
-            ms.ExteriorModeProblem(ms.Sector.off_diagonal(-1.0), R=1.0), 1e-2
-        )
+    for c in (-1.0, math.nan, math.inf):
+        with pytest.raises(CoercivityError):
+            ms.exterior_coercive_solve(
+                ms.ExteriorModeProblem(ms.Sector.off_diagonal(c), R=1.0), 1e-2
+            )
+    for mesh in (0.0, -1e-2, math.nan, math.inf):
+        with pytest.raises(ValueError, match="mesh must be finite"):
+            ms.exterior_coercive_solve(p, mesh)
+    with pytest.raises(UnderResolvedError):
+        ms.exterior_coercive_solve(p, 1.0)  # 16 cells on [1, 17]
 
 
 def test_coercive_bessel_mode_second_order():
@@ -181,8 +208,12 @@ def test_poincare_ratio_bounded_with_power():
     assert rep.n_trials == 40
     rep = ms.poincare_constant_check(0.5, 0.1, trials=40, seed=6)
     assert 0.2 <= rep.max_ratio <= 1.0
-    with pytest.raises(WeightRangeError):
-        ms.poincare_constant_check(1.0, 0.0, 10)
+    for delta in (0.0, math.nan, math.inf):
+        with pytest.raises(WeightRangeError):
+            ms.poincare_constant_check(1.0, delta, 10)
+    for R in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="R must be positive and finite"):
+            ms.poincare_constant_check(R, 0.3, 2)
 
 
 def test_poincare_ratio_scale_invariant():

@@ -48,6 +48,9 @@ def test_is_exceptional():
         assert not spectral.is_exceptional(float(delta), 1).is_exceptional
     with pytest.raises(ValueError):
         spectral.is_exceptional(40.0, 1, j_max=4)
+    for delta in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            spectral.is_exceptional(delta, 0)
 
 
 def test_interval_free_of_weights():
