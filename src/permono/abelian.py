@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,10 @@ class DiracTerm:
     kind: Kind = Kind.PERIODIC
 
     def __post_init__(self):
+        try:
+            operator.index(self.charge)
+        except TypeError:
+            raise ValueError(f"Dirac charge must be an integer, got {self.charge!r}") from None
         if self.charge == 0:
             raise ValueError("Dirac term must carry nonzero charge")
 
@@ -186,6 +191,8 @@ def translated_asymptotics(m: AbelianMonopole, p: CirclePoint3) -> FieldSample:
 
 def _holonomy_phase(m: AbelianMonopole, z: np.ndarray) -> np.ndarray:
     """2 pi b + sum_j k_j theta_j(z) over the periodic terms, elementwise in z."""
+    if not np.isfinite(z).all():
+        raise ValueError("holonomy needs a finite z")
     phase = np.full(z.shape, TWO_PI * m.b)
     for term in m.terms:
         if term.kind is not Kind.PERIODIC:
@@ -237,6 +244,8 @@ def holonomy_integral(m: AbelianMonopole, z: complex) -> complex:
 def winding_number(m: AbelianMonopole, radius: float) -> int:
     """Integer winding of arg(holonomy) as z runs once around a circle that
     encloses every periodic center; equals minus the total periodic charge."""
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"winding radius must be finite and > 0, got {radius}")
     angles = np.linspace(0.0, TWO_PI, _N_WINDING + 1)
     arg = np.unwrap(-_holonomy_phase(m, radius * np.exp(1j * angles)))
     turns = (arg[-1] - arg[0]) / TWO_PI
@@ -268,6 +277,8 @@ def rescale(m: AbelianMonopole, lam: float) -> RescaledPair:
 def euclidean_limit_profile(r: float, t: float) -> float:
     """Unit-mass Euclidean Dirac profile 1 - 1/(2 sqrt(r^2 + t^2)): the
     pointwise limit of the rescaled periodic monopole as v -> infinity."""
+    if r == t == 0.0:
+        raise SingularPointError("Euclidean profile evaluated at its singular point")
     return 1.0 - 0.5 / math.hypot(r, t)
 
 
@@ -297,8 +308,7 @@ def _grid_planes(m: AbelianMonopole, X: np.ndarray, Y: np.ndarray, T: np.ndarray
     for term in m.terms:
         if term.kind is not Kind.PERIODIC:
             raise ValueError("grid residual supports periodic terms only")
-        dt = np.mod(T - term.center.t, TWO_PI)
-        dt[dt > math.pi] -= TWO_PI
+        dt = np.array([reduce_angle_signed(t - term.center.t) for t in T])
         if np.any(np.abs(np.abs(dt) - math.pi) < 4.0 * h):
             raise OutOfRegimeError("box crosses the radial-gauge seam dt = pi")
         dz = Z - term.center.z

@@ -71,23 +71,12 @@ class Regime(enum.Enum):
     MULTIPOLE = "Multipole"
 
 
-def reduce_angle(t: float) -> float:
-    """Reduce to [0, 2 pi)."""
-    return float(t) % TWO_PI
-
-
 def reduce_angle_signed(t: float) -> float:
-    """Reduce to (-pi, pi]."""
+    """Reduce a circle offset to (-pi, pi]; the one reduction of offsets in the package."""
     r = float(t) % TWO_PI
     if r > math.pi:
         r -= TWO_PI
     return r
-
-
-def circle_dist(t1: float, t2: float) -> float:
-    """Distance on the circle of circumference 2 pi."""
-    d = abs(reduce_angle(t1) - reduce_angle(t2))
-    return min(d, TWO_PI - d)
 
 
 @dataclass
@@ -101,10 +90,10 @@ class CirclePoint3:
         self.z = complex(self.z)
         if not (cmath.isfinite(self.z) and math.isfinite(self.t)):
             raise ValueError(f"point coordinates must be finite, got z={self.z}, t={self.t}")
-        self.t = reduce_angle(self.t)
+        self.t = float(self.t) % TWO_PI
 
     def distance(self, other: "CirclePoint3") -> float:
-        return math.hypot(abs(self.z - other.z), circle_dist(self.t, other.t))
+        return math.hypot(*_offsets(self, other))
 
     @property
     def x(self) -> float:

@@ -220,6 +220,8 @@ _PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 def curvature_fd(form_fn, p: Quat4Point, h: float) -> np.ndarray:
     """Central-difference curvature F_{mu nu} = d_mu w_nu - d_nu w_mu of a
     1-form field; returns the 6 components ordered (12, 13, 14, 23, 24, 34)."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be finite and > 0, got {h}")
     x = p.as_array()
     grad = np.zeros((4, 4))  # grad[mu, nu] = d_mu w_nu
     for mu in range(4):

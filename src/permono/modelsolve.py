@@ -15,6 +15,10 @@ central differences on a uniform mesh with truncation pushed below mesh
 error: the cylinder is cut at T + 20/gamma^+ with the exact decaying-branch
 Robin condition u' + gamma^+ u = 0, exterior domains at 10 R (or R + 16/mu
 for screened modes) with the per-mode harmonic/decaying condition.
+
+All solvers fit their decay by one rule (``_log_slope``): the least-squares
+slope of log|u| over the tail-window nodes with |u| > 1e-280, nan when fewer
+than 8 qualify.
 """
 
 from __future__ import annotations
@@ -48,6 +52,15 @@ def gamma_roots(lam: float) -> tuple[float, float]:
 #: fewest cells of a model grid; the cylinder's decay fit over [0.5 n, 0.8 n)
 #: needs 8 nodes, which n >= 27 gives.
 _MIN_CELLS = 32
+
+
+def _log_slope(x: np.ndarray, u: np.ndarray) -> float:
+    """Least-squares slope of log|u| against x over the nodes with |u| > 1e-280;
+    nan when fewer than 8 nodes qualify."""
+    keep = np.abs(u) > 1e-280
+    if keep.sum() < 8:
+        return math.nan
+    return float(np.polyfit(x[keep], np.log(np.abs(u[keep])), 1)[0])
 
 
 def _robin_solve(x0: float, x_max: float, mesh: float, drift, pot, f, phi: float,
@@ -106,6 +119,8 @@ class CylinderProblem:
 
     def __post_init__(self):
         gp, gm = gamma_roots(self.lam)
+        if not math.isfinite(self.delta):
+            raise WeightRangeError(f"delta must be finite, got {self.delta}")
         if min(abs(self.delta - gp), abs(self.delta - gm)) < _EXCEPTIONAL_GUARD:
             raise ExceptionalWeightError(
                 f"delta={self.delta} is an exceptional weight of lambda={self.lam}"
@@ -120,20 +135,6 @@ class CylinderSolution:
     gamma_plus: float
     mesh: float
 
-    def max_abs(self) -> float:
-        return float(np.abs(self.u).max())
-
-
-def _fit_decay_rate(x: np.ndarray, u: np.ndarray, lo_frac=0.5, hi_frac=0.8) -> float:
-    """Least-squares slope of -log|u| over an interior tail window."""
-    n = x.size
-    sel = slice(int(lo_frac * n), int(hi_frac * n))
-    xs, us = x[sel], np.abs(u[sel])
-    mask = us > 1e-280
-    if mask.sum() < 8:
-        return math.nan
-    return -float(np.polyfit(xs[mask], np.log(us[mask]), 1)[0])
-
 
 def cylinder_solve(p: CylinderProblem, mesh: float) -> CylinderSolution:
     """Solve the half-cylinder Dirichlet problem, selecting the decaying
@@ -143,7 +144,8 @@ def cylinder_solve(p: CylinderProblem, mesh: float) -> CylinderSolution:
     # the decaying branch: u' + gp u = 0 at the far end
     tau, u, h = _robin_solve(p.T, p.T + window, mesh, lambda x: 1.0, lambda x: p.lam,
                              p.f, p.phi, -gp, rate=gp)
-    return CylinderSolution(tau, u, _fit_decay_rate(tau, u), gp, h)
+    sel = slice(int(0.5 * tau.size), int(0.8 * tau.size))
+    return CylinderSolution(tau, u, -_log_slope(tau[sel], u[sel]), gp, h)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +201,8 @@ class ExteriorModeProblem:
     def __post_init__(self):
         if not 0.0 < self.R < math.inf:
             raise ValueError(f"R must be positive and finite, got {self.R}")
+        if not math.isfinite(self.delta):
+            raise WeightRangeError(f"delta must be finite, got {self.delta}")
 
 
 @dataclass
@@ -224,14 +228,8 @@ def exterior_diagonal_solve(p: ExteriorModeProblem, mesh: float) -> ExteriorSolu
     r, u, h = _robin_solve(p.R, r_max, mesh, lambda r: -1.0 / r, lambda r: (n_mode / r) ** 2,
                            p.f, p.phi, -n_mode / r_max)
 
-    u_far = float(u[-1])
     sel = (r >= 4.0 * p.R) & (r <= 7.0 * p.R)
-    sig = np.abs(u[sel])
-    if np.max(sig, initial=0.0) > 1e-12 and np.all(sig > 1e-300):
-        power = float(np.polyfit(np.log(r[sel]), np.log(sig), 1)[0])
-    else:
-        power = 0.0
-    return ExteriorSolution(r, u, u_far, power, h)
+    return ExteriorSolution(r, u, float(u[-1]), _log_slope(np.log(r[sel]), u[sel]), h)
 
 
 @dataclass
@@ -268,11 +266,7 @@ def exterior_coercive_solve(p: ExteriorModeProblem, mesh: float) -> CoerciveSolu
     supp = np.nonzero(np.abs(f_all) > 1e-14 * max(np.abs(f_all).max(), 1e-300))[0]
     fit_lo = r[supp[-1]] + 1.0 if supp.size else p.R + 1.0
     sel = (r >= fit_lo) & (r <= r_max - 2.0)
-    w = np.sqrt(r[sel]) * np.abs(u[sel])
-    if sel.sum() > 8 and np.all(w > 1e-280):
-        slope = float(np.polyfit(r[sel], np.log(w), 1)[0])
-    else:
-        slope = math.nan
+    slope = _log_slope(r[sel], np.sqrt(r[sel]) * u[sel])
     return CoerciveSolution(r, u, mu, energy_u, energy_f, ratio, slope, h)
 
 

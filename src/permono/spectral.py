@@ -89,6 +89,8 @@ def is_exceptional(delta: float, m: int, j_max: int = 64,
     """
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     spec = operator_L_spectrum(m, j_max)
     top = spec.entries[-1].gamma_plus
     if abs(delta) >= top:

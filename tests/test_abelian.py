@@ -23,6 +23,10 @@ def unit_monopole(v=0.0, b=0.0, charge=1, center=ORIGIN):
 def test_term_validation():
     with pytest.raises(ValueError):
         DiracTerm(ORIGIN, 0)
+    for charge in (0.5, math.nan, 1.0):
+        with pytest.raises(ValueError, match="integer"):
+            DiracTerm(ORIGIN, charge)
+    assert abelian.winding_number(AbelianMonopole([DiracTerm(ORIGIN, np.int64(2))]), 3.0) == -2
     with pytest.raises(ValueError):
         AbelianMonopole([DiracTerm(ORIGIN, 1), DiracTerm(CirclePoint3(0, TWO_PI), 1)])
     for v, b in ((math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan), (0.0, -math.inf)):
@@ -332,6 +336,9 @@ def test_holonomy_closed_form_examples():
         assert abelian.holonomy(mb, z) == pytest.approx(-abelian.holonomy(m, z), abs=1e-12)
     with pytest.raises(SingularPointError):
         abelian.holonomy(m, 0.0)
+    for z in (complex(math.inf, 0.0), math.nan, complex(1.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            abelian.holonomy(m, z)
 
 
 def test_holonomy_integral_route_matches():
@@ -382,6 +389,9 @@ def test_winding_rejects_circle_through_center():
     m = unit_monopole(center=CirclePoint3(2.0, 0.0))
     with pytest.raises(SingularPointError):
         abelian.winding_number(m, 2.0)
+    for radius in (math.nan, math.inf, 0.0, -3.0):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            abelian.winding_number(m, radius)
 
 
 def test_translated_asymptotics_reduces_at_centered():
@@ -428,6 +438,8 @@ def test_rescale_rejects_bad_ratio():
     for lam in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
             abelian.rescale(m, lam)
+    with pytest.raises(SingularPointError):
+        abelian.euclidean_limit_profile(0.0, 0.0)
 
 
 def test_rescale_large_mass_euclidean_limit():

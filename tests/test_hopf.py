@@ -219,8 +219,13 @@ def test_lift_chart_is_explicit():
 
 @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf])
 def test_lift_rejects_non_finite_mass(mass):
+    p = Quat4Point(0.8, 0.3j)
     with pytest.raises(ValueError, match="finite"):
-        hopf.lift_dirac_connection(1, mass, Quat4Point(0.8, 0.3j), "+")
+        hopf.lift_dirac_connection(1, mass, p, "+")
+    # and the curvature stencil rejects a step that is not finite and > 0
+    for h in (0.0, -1e-2, mass):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            hopf.curvature_richardson(lambda q: hopf.lift_dirac_connection(1, 1.0, q, "+"), p, h)
 
 
 @pytest.mark.parametrize("mass", [0.5, 2.0])

@@ -89,6 +89,9 @@ def test_cylinder_guards():
     for lam in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             ms.CylinderProblem(lam=lam)
+    for delta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(WeightRangeError, match="finite"):
+            ms.CylinderProblem(lam=1.0, delta=delta)
     # too few cells for the grid and its decay fit (the window is 20 at lam = 0)
     for mesh in (100.0, 3.0, 1.0):
         with pytest.raises(UnderResolvedError):
@@ -110,6 +113,13 @@ def test_exterior_diagonal_harmonic_mode_one():
     sol = ms.exterior_diagonal_solve(p, 1e-4)
     assert np.abs(sol.u - 1.0 / sol.r).max() <= 1e-8
     assert sol.fitted_power == pytest.approx(-1.0, abs=0.05)
+    # the fit is scale invariant: tiny data decays like r^-n too, and zero data has no power
+    for n in (1, 2):
+        for phi in (1e-15, 1e-13):
+            p = ms.ExteriorModeProblem(ms.Sector.diagonal_invariant(n), R=1.0, phi=phi)
+            assert ms.exterior_diagonal_solve(p, 1e-3).fitted_power == pytest.approx(-n, abs=0.05)
+        p = ms.ExteriorModeProblem(ms.Sector.diagonal_invariant(n), R=1.0, phi=0.0)
+        assert math.isnan(ms.exterior_diagonal_solve(p, 1e-3).fitted_power)
 
 
 def test_exterior_diagonal_source_vs_closed_form():
@@ -139,6 +149,9 @@ def test_exterior_diagonal_guards():
     for R in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="R must be positive and finite"):
             ms.ExteriorModeProblem(sec, R=R)
+    for delta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(WeightRangeError, match="finite"):
+            ms.ExteriorModeProblem(sec, R=1.0, delta=delta)
     p = ms.ExteriorModeProblem(sec, R=1.0)
     for mesh in (0.0, -1e-3, math.nan, math.inf):
         with pytest.raises(ValueError, match="mesh must be finite"):
@@ -151,8 +164,12 @@ def test_coercive_zero_data_and_guards():
     p = ms.ExteriorModeProblem(ms.Sector.oscillatory(1), R=1.0, phi=0.0)
     sol = ms.exterior_coercive_solve(p, 1e-2)
     assert np.abs(sol.u).max() == 0.0 and sol.energy_ratio == 0.0
+    assert math.isnan(sol.decay_slope)
     with pytest.raises(ValueError):
         ms.Sector.oscillatory(0)
+    for delta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(WeightRangeError, match="finite"):
+            ms.ExteriorModeProblem(ms.Sector.oscillatory(1), R=1.0, delta=delta)
     for c in (-1.0, math.nan, math.inf):
         with pytest.raises(CoercivityError):
             ms.exterior_coercive_solve(

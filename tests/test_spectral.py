@@ -51,6 +51,10 @@ def test_is_exceptional():
     for delta in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             spectral.is_exceptional(delta, 0)
+    for tol in (np.nan, -1.0, np.inf):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            spectral.is_exceptional(0.0, 0, tol=tol)
+    assert spectral.is_exceptional(0.0, 0, tol=0.0).is_exceptional
 
 
 def test_interval_free_of_weights():
