@@ -276,7 +276,12 @@ def rescale(m: AbelianMonopole, lam: float) -> RescaledPair:
 
 def euclidean_limit_profile(r: float, t: float) -> float:
     """Unit-mass Euclidean Dirac profile 1 - 1/(2 sqrt(r^2 + t^2)): the
-    pointwise limit of the rescaled periodic monopole as v -> infinity."""
+    pointwise limit of the rescaled periodic monopole as v -> infinity.
+
+    Raises ValueError unless r and t are finite, and SingularPointError at
+    (0, 0)."""
+    if not (math.isfinite(r) and math.isfinite(t)):
+        raise ValueError(f"r and t must be finite, got ({r}, {t})")
     if r == t == 0.0:
         raise SingularPointError("Euclidean profile evaluated at its singular point")
     return 1.0 - 0.5 / math.hypot(r, t)

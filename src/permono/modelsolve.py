@@ -58,9 +58,11 @@ def _log_slope(x: np.ndarray, u: np.ndarray) -> float:
     """Least-squares slope of log|u| against x over the nodes with |u| > 1e-280;
     nan when fewer than 8 nodes qualify."""
     keep = np.abs(u) > 1e-280
-    if keep.sum() < 8:
+    if np.count_nonzero(keep) < 8:
         return math.nan
-    return float(np.polyfit(x[keep], np.log(np.abs(u[keep])), 1)[0])
+    x = x[keep] - x[keep].mean()
+    y = np.log(np.abs(u[keep]))
+    return float(np.dot(x, y - y.mean()) / np.dot(x, x))
 
 
 def _robin_solve(x0: float, x_max: float, mesh: float, drift, pot, f, phi: float,
@@ -304,7 +306,11 @@ def weight_identity_check(samples) -> float:
 
 
 def poincare_constant(R: float) -> float:
-    """The explicit constant sqrt(2 + R^2)/R of the weighted inequality."""
+    """The explicit constant sqrt(2 + R^2)/R of the weighted inequality.
+
+    Raises ValueError unless R is finite and > 0."""
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R must be positive and finite, got {R}")
     return math.sqrt(2.0 + R * R) / R
 
 
@@ -323,16 +329,16 @@ def _smooth_bump(x):
     return out
 
 
-def _smooth_window(r, r1, r2, w_up, w_dn=None):
-    """cos^2-ramped indicator of [r1, r2] with ramp widths (w_up, w_dn)."""
-    if w_dn is None:
-        w_dn = w_up
-    out = np.zeros_like(r)
-    out[(r >= r1 + w_up) & (r <= r2 - w_dn)] = 1.0
-    up = (r > r1) & (r < r1 + w_up)
-    out[up] = np.sin(0.5 * math.pi * (r[up] - r1) / w_up) ** 2
-    dn = (r > r2 - w_dn) & (r < r2)
-    out[dn] = np.sin(0.5 * math.pi * (r2 - r[dn]) / w_dn) ** 2
+def _smooth_window(s, s1, s2, w_up, w_dn, out):
+    """Write into out the sin^2-ramped indicator of [s1, s2] with ramp widths
+    (w_up, w_dn) at the ascending nodes s, with s1 + w_up < s2 - w_dn."""
+    i0, i2 = np.searchsorted(s, (s1, s2 - w_dn), side="right")
+    i1, i3 = np.searchsorted(s, (s1 + w_up, s2), side="left")
+    out[:i0] = 0.0
+    out[i0:i1] = np.sin(0.5 * math.pi * (s[i0:i1] - s1) / w_up) ** 2
+    out[i1:i2] = 1.0
+    out[i2:i3] = np.sin(0.5 * math.pi * (s2 - s[i2:i3]) / w_dn) ** 2
+    out[i3:] = 0.0
     return out
 
 
@@ -343,6 +349,21 @@ def _smooth_window(r, r1, r2, w_up, w_dn=None):
 _POINCARE_LOG_SPAN = 160.0
 
 
+def _trial_ratio(u: np.ndarray, mass: np.ndarray, stiff: np.ndarray, ds: float,
+                 buf: np.ndarray) -> float:
+    """sqrt(mass . u^2) / sqrt(stiff . (du/ds)^2) over the first u.size nodes, with
+    du/ds the central difference (one-sided at the ends), worked out in buf."""
+    n = u.size
+    d = buf[:n]
+    num_sq = np.dot(mass[:n], np.multiply(u, u, out=d))
+    np.subtract(u[2:], u[:-2], out=d[1:-1])
+    d[1:-1] *= 0.5
+    d[0] = u[1] - u[0]
+    d[-1] = u[-1] - u[-2]
+    d /= ds
+    return math.sqrt(num_sq) / math.sqrt(np.dot(stiff[:n], np.multiply(d, d, out=d)))
+
+
 def poincare_constant_check(R: float, delta: float, trials: int,
                             seed: int = 0, n_grid: int = 32001) -> PoincareReport:
     """Test the inequality  |omega^{-(delta+1)} u| <= (C/|delta|) |omega^{-delta} u'|
@@ -350,44 +371,74 @@ def poincare_constant_check(R: float, delta: float, trials: int,
     smooth compactly supported profiles; for delta > 0 the trials vanish at
     r = R. Returns the worst (largest) ratio, which must stay <= 1.
 
-    Quadrature runs on a logarithmic grid s = log(r/R). Half the trials are
-    generic bump superpositions near the boundary; the other half are
-    near-extremal tapered envelopes omega^delta spread over the whole
-    logarithmic window, which attain ratios >= 0.2 for |delta| >= 0.1 and
-    R in [1/2, 2], so the test has power.
+    Half the trials are generic bump superpositions near the boundary; the
+    other half are near-extremal tapered envelopes omega^delta spread over the
+    whole logarithmic window, which attain ratios >= 0.2 for |delta| >= 0.1
+    and R in [1/2, 2], so the test has power.
+
+    Quadrature: the trapezoid rule on the uniform grid s = log(r/R) of n_grid
+    nodes, in which r dr = r^2 ds and (du/dr)^2 r^2 = (du/ds)^2, so each trial
+    is two dot products against weights built once per call,
+    mass = trapezoid weight * omega^{-2(delta+1)} r^2 and
+    stiffness = trapezoid weight * omega^{-2 delta}. du/ds is the central
+    difference, one-sided at the ends. A bump trial vanishes past its support
+    s < 3.8, so it is evaluated on the grid prefix that ends two zero nodes
+    past it; the windows use the whole grid.
+
+    Raises ValueError unless trials is an integer >= 1, n_grid an integer >= 3
+    and R finite and > 0, and WeightRangeError unless delta is finite and
+    nonzero.
     """
     if not (math.isfinite(delta) and delta != 0.0):
         raise WeightRangeError(f"delta must be finite and nonzero, got {delta}")
-    if not 0.0 < R < math.inf:
-        raise ValueError(f"R must be positive and finite, got {R}")
+    scale = poincare_constant(R) / abs(delta)
+    for name, value, least in (("trials", trials, 1), ("n_grid", n_grid, 3)):
+        if not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     rng = np.random.default_rng(seed)
     span = _POINCARE_LOG_SPAN
     s = np.linspace(0.0, span, n_grid)
-    r = R * np.exp(s)
-    wgt = omega(r)
-    C = poincare_constant(R)
-    num_w = wgt ** (-2.0 * (delta + 1.0)) * r * r  # * u^2, ds measure
-    den_w = wgt ** (-2.0 * delta) * r * r          # * (du/dr)^2
+    ds = span / (n_grid - 1)
+    # every fresh full-grid array costs page faults, so the weights are built in
+    # place: r^2 becomes the stiffness and log(omega) the envelope omega^delta
+    r_sq = np.multiply(s, 2.0)
+    np.exp(r_sq, out=r_sq)
+    r_sq *= R * R
+    log_w = np.log1p(r_sq)
+    log_w *= 0.5
+    mass = np.multiply(log_w, -2.0 * (delta + 1.0))
+    np.exp(mass, out=mass)
+    mass *= r_sq
+    stiff = np.multiply(log_w, -2.0 * delta, out=r_sq)
+    np.exp(stiff, out=stiff)
+    for weight in (mass, stiff):  # the trapezoid rule
+        weight *= ds
+        weight[[0, -1]] *= 0.5
+    envelope = np.exp(np.multiply(log_w, delta, out=log_w), out=log_w)
+    window = np.empty(n_grid)
+    buf = np.empty(n_grid)
     ratios = np.empty(trials)
     for i in range(trials):
         if i % 2 == 0:
-            u = np.zeros_like(s)
+            bumps = []
             for _ in range(rng.integers(1, 4)):
                 wdt = rng.uniform(0.15, 0.8)
                 margin = wdt + 0.02 if delta > 0.0 else -wdt * rng.uniform(0.0, 0.9)
-                c = rng.uniform(margin, 3.0)
-                u += rng.uniform(-1.0, 1.0) * _smooth_bump((s - c) / wdt)
+                bumps.append((rng.uniform(margin, 3.0), wdt, rng.uniform(-1.0, 1.0)))
+            # every bump vanishes from node n - 2 on
+            n = min(int(np.searchsorted(s, max(c + w for c, w, _ in bumps))) + 2, n_grid)
+            u = np.zeros(n)
+            for c, wdt, a in bumps:
+                u += a * _smooth_bump((s[:n] - c) / wdt)
         else:
             s1 = rng.uniform(0.02, 0.3) if delta > 0.0 else 0.0
             s2 = rng.uniform(0.9, 0.97) * span
             w_up = rng.uniform(0.3, 1.2)
             w_dn = rng.uniform(0.35, 0.45) * span
-            u = wgt**delta * _smooth_window(s, s1, s2, w_up, w_dn)
-        if np.abs(u).max() == 0.0:
+            u = _smooth_window(s, s1, s2, w_up, w_dn, window)
+            u *= envelope
+        if not u.any():
             ratios[i] = 0.0
             continue
-        du = np.gradient(u, s) / r
-        num = math.sqrt(np.trapezoid(num_w * u**2, x=s))
-        den = math.sqrt(np.trapezoid(den_w * du**2, x=s))
-        ratios[i] = num / ((C / abs(delta)) * den)
+        ratios[i] = _trial_ratio(u, mass, stiff, ds, buf) / scale
     return PoincareReport(float(ratios.max()), ratios, trials)

@@ -84,19 +84,27 @@ def is_exceptional(delta: float, m: int, j_max: int = 64,
                    tol: float = 1e-12) -> ExceptionalQuery:
     """Whether delta coincides (within tol) with an indicial root gamma_j^+-.
 
-    j_max must index far enough that |delta| < gamma^+_{j_max}; otherwise the
-    scan could miss a root beyond the window.
+    j_max must index far enough that |delta| < gamma^+_{j_max}; otherwise a
+    root beyond the window could be nearer. Of equally near roots the one with
+    the smaller j is reported, gamma^+ before gamma^-, as in the order of
+    ``operator_L_spectrum(m, j_max).weights()``.
     """
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    spec = operator_L_spectrum(m, j_max)
-    top = spec.entries[-1].gamma_plus
+    if j_max < 0:
+        raise ValueError("j_max must be >= 0")
+    a = abs(m) / 2.0
+    top = a + j_max
     if abs(delta) >= top:
         raise ValueError(f"j_max={j_max} too small: |delta|={abs(delta)} >= {top}")
-    ws = spec.weights()
-    nearest = min(ws, key=lambda w: abs(w - delta))
+    # gamma_j^+ = a + j and gamma_j^- = -(a + 1) - j: on each branch the nearest
+    # is the rounded index (a tie to the smaller j), clamped to 0..j_max. A tie
+    # across the branches can only be at j = 0, where gamma^+ comes first.
+    plus = a + min(max(math.ceil(delta - a - 0.5), 0), j_max)
+    minus = -(a + 1.0) - min(max(math.ceil(-(a + 1.0) - delta - 0.5), 0), j_max)
+    nearest = plus if abs(plus - delta) <= abs(minus - delta) else minus
     dist = abs(nearest - delta)
     return ExceptionalQuery(dist <= tol, nearest, dist)
 

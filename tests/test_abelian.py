@@ -440,6 +440,9 @@ def test_rescale_rejects_bad_ratio():
             abelian.rescale(m, lam)
     with pytest.raises(SingularPointError):
         abelian.euclidean_limit_profile(0.0, 0.0)
+    for r, t in ((math.inf, 0.0), (math.nan, 0.0), (0.3, math.inf), (0.3, -math.inf), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            abelian.euclidean_limit_profile(r, t)
 
 
 def test_rescale_large_mass_euclidean_limit():

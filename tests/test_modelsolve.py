@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permono import modelsolve as ms
 from permono import specfn, spectral
@@ -22,6 +24,23 @@ def test_gamma_roots():
     for lam in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             ms.gamma_roots(lam)
+
+
+def test_log_slope_matches_polyfit():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        x = np.sort(rng.uniform(-3.0, 40.0, int(rng.integers(8, 400))))
+        u = rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(-5.0, 5.0) * x / 40.0
+                                             + 0.3 * rng.standard_normal(x.size))
+        want = np.polyfit(x, np.log(np.abs(u)), 1)[0]
+        assert ms._log_slope(x, u) == pytest.approx(want, rel=1e-12, abs=1e-14)
+    # the |u| > 1e-280 mask and the 8-node floor
+    x = np.arange(10.0)
+    u = np.exp(-x)
+    u[[2, 5]] = 0.0
+    assert ms._log_slope(x, u) == pytest.approx(-1.0, rel=1e-12)
+    u[7] = 1e-300
+    assert math.isnan(ms._log_slope(x, u))
 
 
 def test_cylinder_constant_solution():
@@ -231,6 +250,77 @@ def test_poincare_ratio_bounded_with_power():
     for R in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="R must be positive and finite"):
             ms.poincare_constant_check(R, 0.3, 2)
+    for trials in (0, -1, 2.0, None):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            ms.poincare_constant_check(1.0, 0.3, trials)
+    for n_grid in (2, 0, -5, 101.0):
+        with pytest.raises(ValueError, match="n_grid must be an integer >= 3"):
+            ms.poincare_constant_check(1.0, 0.3, 2, n_grid=n_grid)
+    assert ms.poincare_constant_check(1.0, 0.3, np.int64(1), n_grid=3).n_trials == 1
+
+
+def test_poincare_constant_guards():
+    assert ms.poincare_constant(1.0) == math.sqrt(3.0)
+    for R in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="R must be positive and finite"):
+            ms.poincare_constant(R)
+
+
+def _oracle_window(r, r1, r2, w_up, w_dn):
+    """sin^2-ramped indicator of [r1, r2], by masks over all nodes."""
+    out = np.zeros_like(r)
+    out[(r >= r1 + w_up) & (r <= r2 - w_dn)] = 1.0
+    up = (r > r1) & (r < r1 + w_up)
+    out[up] = np.sin(0.5 * math.pi * (r[up] - r1) / w_up) ** 2
+    dn = (r > r2 - w_dn) & (r < r2)
+    out[dn] = np.sin(0.5 * math.pi * (r2 - r[dn]) / w_dn) ** 2
+    return out
+
+
+def _oracle_poincare_ratios(R, delta, trials, seed, n_grid):
+    """The same random trials on the whole grid, with np.gradient in s, du/dr =
+    (du/ds)/r and np.trapezoid over s."""
+    rng = np.random.default_rng(seed)
+    span = ms._POINCARE_LOG_SPAN
+    s = np.linspace(0.0, span, n_grid)
+    r = R * np.exp(s)
+    wgt = ms.omega(r)
+    C = math.sqrt(2.0 + R * R) / R
+    num_w = wgt ** (-2.0 * (delta + 1.0)) * r * r
+    den_w = wgt ** (-2.0 * delta) * r * r
+    ratios = np.empty(trials)
+    for i in range(trials):
+        if i % 2 == 0:
+            u = np.zeros_like(s)
+            for _ in range(rng.integers(1, 4)):
+                wdt = rng.uniform(0.15, 0.8)
+                margin = wdt + 0.02 if delta > 0.0 else -wdt * rng.uniform(0.0, 0.9)
+                c = rng.uniform(margin, 3.0)
+                u += rng.uniform(-1.0, 1.0) * ms._smooth_bump((s - c) / wdt)
+        else:
+            s1 = rng.uniform(0.02, 0.3) if delta > 0.0 else 0.0
+            s2 = rng.uniform(0.9, 0.97) * span
+            w_up = rng.uniform(0.3, 1.2)
+            w_dn = rng.uniform(0.35, 0.45) * span
+            u = wgt**delta * _oracle_window(s, s1, s2, w_up, w_dn)
+        if np.abs(u).max() == 0.0:
+            ratios[i] = 0.0
+            continue
+        du = np.gradient(u, s) / r
+        num = math.sqrt(np.trapezoid(num_w * u**2, x=s))
+        den = math.sqrt(np.trapezoid(den_w * du**2, x=s))
+        ratios[i] = num / ((C / abs(delta)) * den)
+    return ratios
+
+
+@settings(max_examples=30, deadline=None)
+@given(R=st.floats(0.5, 2.0), mag=st.floats(0.1, 0.5), sign=st.sampled_from([-1.0, 1.0]),
+       seed=st.integers(0, 2**31 - 1), trials=st.integers(1, 6),
+       n_grid=st.sampled_from([3, 101, 2001, 8001, 32001]))
+def test_poincare_check_matches_full_grid_oracle(R, mag, sign, seed, trials, n_grid):
+    rep = ms.poincare_constant_check(R, sign * mag, trials, seed=seed, n_grid=n_grid)
+    want = _oracle_poincare_ratios(R, sign * mag, trials, seed, n_grid)
+    np.testing.assert_allclose(rep.ratios, want, rtol=1e-12, atol=0.0)
 
 
 def test_poincare_ratio_scale_invariant():

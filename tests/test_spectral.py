@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permono import spectral
 from permono.errors import ResolutionTooLowError
@@ -48,6 +50,8 @@ def test_is_exceptional():
         assert not spectral.is_exceptional(float(delta), 1).is_exceptional
     with pytest.raises(ValueError):
         spectral.is_exceptional(40.0, 1, j_max=4)
+    with pytest.raises(ValueError, match="j_max must be >= 0"):
+        spectral.is_exceptional(0.0, 1, j_max=-1)
     for delta in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             spectral.is_exceptional(delta, 0)
@@ -55,6 +59,35 @@ def test_is_exceptional():
         with pytest.raises(ValueError, match="tol must be finite"):
             spectral.is_exceptional(0.0, 0, tol=tol)
     assert spectral.is_exceptional(0.0, 0, tol=0.0).is_exceptional
+
+
+def _scan_exceptional(delta, m, j_max, tol=1e-12):
+    """The nearest root by a scan of every weight, first of equals winning."""
+    ws = spectral.operator_L_spectrum(m, j_max).weights()
+    nearest = min(ws, key=lambda w: abs(w - delta))
+    dist = abs(nearest - delta)
+    return spectral.ExceptionalQuery(dist <= tol, nearest, dist)
+
+
+@st.composite
+def _weight_queries(draw):
+    m = draw(st.integers(-8, 8))
+    j_max = draw(st.integers(1, 70))
+    top = abs(m) / 2.0 + j_max
+    # quarter-integer points, and their neighbouring floats, hit the ties
+    # between neighbouring roots
+    quarter = draw(st.integers(-int(4 * top) + 1, int(4 * top) - 1)) / 4.0
+    delta = draw(st.floats(-top, top, exclude_min=True, exclude_max=True)
+                 | st.sampled_from([quarter, float(np.nextafter(quarter, -top)),
+                                    float(np.nextafter(quarter, top))]))
+    return delta, m, j_max
+
+
+@settings(max_examples=400, deadline=None)
+@given(q=_weight_queries(), tol=st.sampled_from([0.0, 1e-12, 0.3]))
+def test_is_exceptional_matches_weight_scan(q, tol):
+    delta, m, j_max = q
+    assert spectral.is_exceptional(delta, m, j_max, tol) == _scan_exceptional(delta, m, j_max, tol)
 
 
 def test_interval_free_of_weights():
