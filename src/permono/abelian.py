@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import green, specfn
+from . import green
 from .errors import OutOfRegimeError, SingularPointError
 from .green import CirclePoint3, reduce_angle_signed
 
@@ -136,7 +136,6 @@ def _single_periodic(m: AbelianMonopole) -> DiracTerm:
 
 #: Truncation tolerance of the grid fields: the rounding level of O(1) fields.
 _GRID_TOL = 1e-15
-_N_CIRCLE = 128  # trapezoid nodes on the fiber circle of holonomy_integral
 _N_WINDING = 720  # holonomy samples on the circle of winding_number
 
 
@@ -149,7 +148,8 @@ def connection_radial_gauge(m: AbelianMonopole, p: CirclePoint3,
     is the closed form of -int_r^inf r' d_t psi dr' with
     int_r^inf r' K0(m r') dr' = (r/m) K1(m r). The Higgs value is the
     Fourier-Bessel series of the same term; both sums stop at the count
-    whose r K1 tail is <= tol, which for r >= 1 also bounds the K0 tail.
+    whose r K1 tail is <= tol, which for r >= 1 also bounds the K0 tail, and
+    take their radial factors from ``green.bessel_modes``.
     """
     term = _single_periodic(m)
     dz = p.z - term.center.z
@@ -158,10 +158,12 @@ def connection_radial_gauge(m: AbelianMonopole, p: CirclePoint3,
         raise OutOfRegimeError(f"radial gauge requires r >= 2, got r={r}")
     dt = reduce_angle_signed(p.t - term.center.t)
     k = term.charge
-    _, k0, k1, _ = green.bessel_modes(np.array([r]), tol / abs(k), 1)
-    mdt = np.arange(1, k0.shape[1] + 1) * dt
-    higgs_value = m.v + k * (math.log(r) / TWO_PI - float(k0[0] @ np.cos(mdt)) / math.pi)
-    a_theta = k * (0.5 - dt / TWO_PI - r * float(k1[0] @ np.sin(mdt)) / math.pi)
+    M = green._mode_counts(r, tol / abs(k), 1)
+    k0, k1 = np.empty((2, M))
+    green.bessel_modes(np.asarray(r), M, k0, k1)
+    mdt = np.arange(1, M + 1) * dt
+    higgs_value = m.v + k * (math.log(r) / TWO_PI - float(k0 @ np.cos(mdt)) / math.pi)
+    a_theta = k * (0.5 - dt / TWO_PI - r * float(k1 @ np.sin(mdt)) / math.pi)
     return FieldSample(higgs_value, a_theta, m.b, "exterior")
 
 
@@ -209,36 +211,6 @@ def holonomy(m: AbelianMonopole, z: complex) -> complex:
     exp(-i sum_j k_j theta_j(z) - 2 pi i b), theta_j the principal angle of
     z - z_j. Euclidean terms carry no fiber holonomy."""
     return cmath.exp(-1j * float(_holonomy_phase(m, np.array(complex(z)))))
-
-
-def _flux_through_fiber(r: np.ndarray, dt_nodes: np.ndarray) -> np.ndarray:
-    """Trapezoid values of the circle integrals of r * d_r G over the fibers
-    {r_j} x S^1, at circle offsets dt_nodes (n, nt); the series is truncated
-    at its r K1 tail 1e-13."""
-    _, _, k1, _ = green.bessel_modes(r, 1e-13, 1)
-    k = np.arange(1, k1.shape[1] + 1, dtype=float)
-    cos = np.cos(k[None, :, None] * dt_nodes[:, None, :])
-    g_r = 1.0 / (TWO_PI * r)[:, None] + np.einsum("jk,jkt->jt", k1 * k, cos) / math.pi
-    return np.mean(g_r, axis=1) * TWO_PI * r
-
-
-def holonomy_integral(m: AbelianMonopole, z: complex) -> complex:
-    """Integral-route holonomy: the derivative of the fiber integral of A in
-    the base angle equals i times the flux of the curvature through the fiber
-    (the circle integral of r d_r G). That flux is computed by quadrature; it
-    is angle-independent by rotational invariance of G about its center, so
-    the arc integral from each term's reference ray collapses to
-    flux * theta. A correct quadrature must return flux = 1 per unit charge,
-    which is exactly what the comparison with the closed form verifies."""
-    periodic = _periodic_terms(m)
-    dz = complex(z) - np.array([t.center.z for t in periodic], dtype=complex)
-    if np.any(dz == 0):
-        raise SingularPointError("holonomy undefined through a singular center")
-    ts = np.arange(_N_CIRCLE) * TWO_PI / _N_CIRCLE
-    flux = _flux_through_fiber(np.abs(dz), ts - np.array([t.center.t for t in periodic])[:, None])
-    charge = np.array([t.charge for t in periodic], dtype=float)
-    phase = TWO_PI * m.b + float(np.sum(charge * flux * np.angle(dz)))
-    return cmath.exp(-1j * phase)
 
 
 def winding_number(m: AbelianMonopole, radius: float) -> int:
@@ -291,7 +263,8 @@ def _grid_planes(m: AbelianMonopole, X: np.ndarray, Y: np.ndarray, T: np.ndarray
     """Per-term planar arrays (r, counts, log/linear column values) and the
     t-bases C, S (K, nt) of the grid fields phi = v + sum_k Fp[k] C[k],
     a_x = sum_k Fx[k] S[k], a_y = sum_k Fy[k] S[k] on X x Y x T, whose
-    mode-major factors (K, rows, ny) ``_factor_rows`` builds for a row range.
+    mode-major factors (K, rows, ny) ``_factor_rows`` builds for a row range
+    from these counts.
     Each periodic term adds its log/linear column and M Fourier-Bessel modes,
 
         phi     = k log r/(2 pi) - (k/pi) sum_m K0(m r) cos(m dt),
@@ -337,22 +310,20 @@ def _grid_planes(m: AbelianMonopole, X: np.ndarray, Y: np.ndarray, T: np.ndarray
 
 def _factor_rows(planes, lo: int, hi: int, Fp, Fx, Fy) -> None:
     """Grid rows lo..hi-1 of the factors of ``_grid_planes`` into Fp, Fx, Fy of
-    shape (K, hi - lo, ny). K0 and K1 are evaluated once each, at the kept
-    (node, mode <= count) pairs only, and scattered into the mode planes."""
+    shape (K, hi - lo, ny). ``green.bessel_modes`` writes K0 and K1 of the
+    kept (node, mode <= count) pairs straight into the Fp and Fx mode planes,
+    which are then weighted in place."""
     rows, c = slice(lo, hi), 0
     for k, r, counts, log_col, x_col, y_col in planes:
         Fp[c], Fx[c], Fy[c] = log_col[rows], x_col[rows], y_col[rows]
-        mode = np.arange(1, counts.max() + 1, dtype=float)[:, None, None]
-        p, fx, fy = (F[c + 1:c + 1 + mode.size] for F in (Fp, Fx, Fy))
-        keep = mode <= counts[rows]
-        x = (mode * r[rows])[keep]
-        p[...], fx[...] = 0.0, 0.0
-        p[keep] = specfn.bessel_k0(x) * (-k / math.pi)
-        fx[keep] = specfn.bessel_k1(x)
+        n = counts.max()
+        p, fx, fy = (F[c + 1:c + 1 + n] for F in (Fp, Fx, Fy))
+        green.bessel_modes(r[rows], counts[rows], p, fx)
+        p *= -k / math.pi
         # mode weights (k/pi) dy/r of a_x and -(k/pi) dx/r of a_y
         np.multiply(fx, y_col[rows] * r[rows] / -math.pi, out=fy)
         fx *= x_col[rows] * r[rows] / -math.pi
-        c += mode.size + 1
+        c += n + 1
 
 
 #: interior x-rows per slab of the residual sweep

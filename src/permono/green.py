@@ -16,20 +16,21 @@ G has three regimes; ``green_eval_many`` takes each where stated (rho = |p - q|)
 Every evaluation returns the value, the gradient (d/dx, d/dy, d/dt) and the
 certified truncation bound of the value for the regime used.
 
-Every Fourier-Bessel sum of the package (G here; the grid fields, the radial
-gauge and the fiber flux in ``abelian``) is sized by one rule, ``_mode_counts``.
-G, the radial gauge and the fiber flux take their radial factors from
-``bessel_modes``; the grid fields (``abelian._factor_rows``) call ``specfn``
-directly with those counts. Each row is sized in closed form: M is the smallest
-count with pref(r) r^nu Kmaj_nu((M+1) r) <= tol, pref(r) = 1/(pi (1 - e^{-r})),
-where the majorants
+Every Fourier-Bessel sum of the package (G here; the grid fields and the radial
+gauge in ``abelian``) is sized by one rule, ``_mode_counts``, and takes its
+radial factors from one kernel, ``bessel_modes``, the only caller of
+``specfn.bessel_k0``/``bessel_k1``: it fills mode-major planes that the caller
+owns with K0(m r) and K1(m r) at the kept pairs m <= M and exact zeros beyond.
+Each row is sized in closed form: M is the smallest count with
+pref(r) r^nu Kmaj_nu((M+1) r) <= tol, pref(r) = 1/(pi (1 - e^{-r})), where the
+majorants
 
     K0(x) <= sqrt(pi/2x) e^{-x},    K1(x) <= sqrt(pi/2x) e^{-x} (1 + 3/(8x))
 
 hold for every x > 0 because the remainder of the Hankel expansion after
 l >= nu - 1/2 terms has the sign of the first neglected term (DLMF 10.40(ii));
 that term is -1/(8x) for K0 and -15/(128 x^2) relative for K1. The certified
-bound reported is the tail with the true K_nu((M+1) r), never above the
+bound that G reports is the tail with the true K0((M+1) r), never above the
 majorant, so it is <= tol.
 """
 
@@ -215,59 +216,49 @@ def fourier_terms_for(r: float, tol: float) -> int:
     return int(_mode_counts(np.array([r]), tol, 0)[0])
 
 
-def bessel_modes(r: np.ndarray, tol, nu: int):
-    """Radial factors K0(m r), K1(m r) of the Fourier-Bessel sums at rows r (n,).
-
-    Returns (M, k0, k1, bound): the mode counts M (n,) of ``_mode_counts``
-    for the tail order nu; k0 and k1 of shape (n, max M) with K_nu(m r_j)
-    for m <= M_j and exactly 0 beyond; and bound (n,) = pref(r) r^nu
-    K_nu((M_j+1) r_j) <= tol, taken from the row's own (M_j+1) column. Each
-    kernel is called once, on the masked arguments only."""
-    r = np.asarray(r, dtype=float)
-    M = _mode_counts(r, tol, nu)
-    m = np.arange(1, int(M.max(initial=0)) + 2)
-    x = np.multiply.outer(r, m.astype(float))
-    keep = m <= M[:, None]
-    tail = m == M[:, None] + 1
-    with_tail = keep | tail
-    k = [np.zeros_like(x), np.zeros_like(x)]
-    kernels = (specfn.bessel_k0, specfn.bessel_k1)
-    k[nu][with_tail] = kernels[nu](x[with_tail])
-    k[1 - nu][keep] = kernels[1 - nu](x[keep])
-    bound = _tail_prefactor(r, nu) * k[nu][tail]
-    k[nu][tail] = 0.0
-    return M, k[0][:, :-1], k[1][:, :-1], bound
+def bessel_modes(r: np.ndarray, M: np.ndarray, k0: np.ndarray, k1: np.ndarray) -> None:
+    """Fill the caller's mode-major planes k0, k1, of shape (>= max M, *r.shape),
+    with K0(m r) and K1(m r) for m <= M and exactly 0 beyond. Each kernel is
+    called once, on the kept (mode, row) pairs only."""
+    m = np.arange(1.0, k0.shape[0] + 1.0).reshape((-1,) + (1,) * r.ndim)
+    keep = m <= M
+    x = (m * r)[keep]
+    k0.fill(0.0)
+    k1.fill(0.0)
+    k0[keep] = specfn.bessel_k0(x)
+    k1[keep] = specfn.bessel_k1(x)
 
 
-def _fourier_bessel_evals(dx, dy, dt, r, M, k0, k1, bound) -> list[GreenEval]:
-    """G and its gradient from the radial factors of ``bessel_modes``, row by row."""
-    m = np.arange(1, k0.shape[1] + 1, dtype=float)
-    mt = np.multiply.outer(dt, m)
+def _fourier_bessel(dx, dy, dt, r, M) -> list[GreenEval]:
+    """G and its gradient at rows r (n,) from M (n,) modes each. The rows take
+    M + 1 planes: the certified tail pref(r) K0((M+1) r) is read from each
+    row's last plane, which is then zeroed."""
+    k0, k1 = np.empty((2, M.max() + 1, r.size))
+    bessel_modes(r, M + 1, k0, k1)
+    last = (M, np.arange(r.size))
+    bound = _tail_prefactor(r, 0) * k0[last]
+    k0[last] = k1[last] = 0.0
+    m = np.arange(1.0, k0.shape[0] + 1.0)
+    mt = np.multiply.outer(m, dt)
     c = np.cos(mt)
     s = np.sin(mt)
-    value = np.log(r) / TWO_PI - (k0 * c).sum(axis=1) / math.pi
-    g_r = 1.0 / (TWO_PI * r) + (k1 * c) @ m / math.pi
-    g_t = (k0 * s) @ m / math.pi
+    value = np.log(r) / TWO_PI - (k0 * c).sum(axis=0) / math.pi
+    g_r = 1.0 / (TWO_PI * r) + m @ (k1 * c) / math.pi
+    g_t = m @ (k0 * s) / math.pi
     grad = np.stack([g_r * dx / r, g_r * dy / r, g_t], axis=1)
     return [GreenEval(float(value[j]), grad[j], float(bound[j]), Regime.FOURIER_BESSEL,
                       terms=int(M[j])) for j in range(r.size)]
 
 
 def green_fourier_bessel(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 60) -> GreenEval:
-    """Log plus Bessel-mode expansion; requires r = |z - z_q| > 0."""
+    """Log plus Bessel-mode expansion with M modes; requires r = |z - z_q| > 0."""
     if M < 0:
         raise ValueError("M must be >= 0")
     dx, dy, dt = _offsets(p, q)
     r = math.hypot(dx, dy)
     if r == 0.0:
         raise SingularPointError("Fourier-Bessel regime requires r > 0")
-
-    x = np.arange(1, M + 2, dtype=float) * r
-    k0 = specfn.bessel_k0(x)
-    k1 = specfn.bessel_k1(x[:M])
-    bound = _tail_prefactor(r, 0) * k0[M]
-    return _fourier_bessel_evals(np.array([dx]), np.array([dy]), np.array([dt]), np.array([r]),
-                                 [M], k0[None, :M], k1[None, :], [bound])[0]
+    return _fourier_bessel(*(np.array([v]) for v in (dx, dy, dt, r, M)))[0]
 
 
 def green_multipole(p: CirclePoint3, q: CirclePoint3 = ORIGIN, tol: float = 1e-10) -> GreenEval:
@@ -325,7 +316,7 @@ def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
             out[i] = green_image_sum(p, q, max(M, 1))
     if fb:
         idx, dx, dy, dt, r = (np.array(col) for col in zip(*fb))
-        evals = _fourier_bessel_evals(dx, dy, dt, r, *bessel_modes(r, tol, 0))
+        evals = _fourier_bessel(dx, dy, dt, r, _mode_counts(r, tol, 0))
         for i, g in zip(idx, evals):
             out[i] = g
     return out
@@ -335,18 +326,6 @@ def green_eval(p: CirclePoint3, q: CirclePoint3 = ORIGIN, tol: float = 1e-10) ->
     """Evaluate G with automatic regime selection and trunc_bound <= tol
     (``green_eval_many`` with the single centre q)."""
     return green_eval_many(p, [q], tol)[0]
-
-
-def green_dt_zero_check(r: float) -> float:
-    """max(|d_t G(r, 0)|, |d_t G(r, pi)|) from the Fourier-Bessel gradient at tail 1e-14."""
-    if r <= 0.0:
-        raise ValueError("r must be positive")
-    M = fourier_terms_for(r, 1e-14)
-    out = 0.0
-    for t in (0.0, math.pi):
-        g = green_fourier_bessel(CirclePoint3(complex(r, 0.0), t), ORIGIN, M)
-        out = max(out, abs(g.grad[2]))
-    return out
 
 
 def evaluate_batch(points: list[CirclePoint3], q: CirclePoint3 = ORIGIN,

@@ -6,8 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 
+import oracles
 from permono import abelian, green, specfn
 from permono.abelian import AbelianMonopole, DiracTerm, Kind
 from permono.errors import OutOfRegimeError, SingularPointError
@@ -177,7 +181,8 @@ BENCH_BOX = ((3.2, 6.35), (-1.6, 1.55), (-1.55, 1.6))
 def field_difference_residual(m, box, h):
     """The residual from central differences of phi, a_x and a_y built on
     every grid node (per term: log/linear part plus the Fourier-Bessel modes
-    of ``green.bessel_modes``), as an oracle for the factor-basis residual."""
+    m <= the node's ``_mode_counts`` count, from scipy's K0/K1), as an oracle
+    for the factor-basis residual."""
     X, Y, T = (np.arange(lo, hi + 0.5 * h, h) for lo, hi in box)
     Z = (X[:, None] + 1j * Y[None, :]).ravel()
     phi = np.full((Z.size, T.size), m.v)
@@ -188,8 +193,12 @@ def field_difference_residual(m, box, h):
         dz = Z - term.center.z
         r = np.abs(dz)
         dt = np.array([green.reduce_angle_signed(t - term.center.t) for t in T])
-        _, k0, k1, _ = green.bessel_modes(r, abelian._GRID_TOL / abs(k), 1)
-        mt = np.multiply.outer(np.arange(1, k0.shape[1] + 1), dt)
+        M = green._mode_counts(r, abelian._GRID_TOL / abs(k), 1)
+        mode = np.arange(1, M.max() + 1)
+        x = np.multiply.outer(r, mode)
+        keep = mode <= M[:, None]
+        k0, k1 = np.where(keep, special.k0(x), 0.0), np.where(keep, special.k1(x), 0.0)
+        mt = np.multiply.outer(mode, dt)
         phi += k * (np.log(r)[:, None] / TWO_PI - k0 @ np.cos(mt) / math.pi)
         a_theta = k * ((0.5 - dt / TWO_PI)[None, :] - (r[:, None] * k1) @ np.sin(mt) / math.pi)
         a_x -= a_theta * (dz.imag / r**2)[:, None]
@@ -232,6 +241,22 @@ def test_residual_matches_field_differences(make, box, h):
     want = field_difference_residual(m, box, h)
     assert want > 0.0
     assert abs(got - want) <= 1e-12
+
+
+def test_kernel_traffic_of_residual_and_green(monkeypatch):
+    # every K0/K1 call goes through specfn's module attributes (the tracer's view)
+    sizes = []
+    for name in ("bessel_k0", "bessel_k1"):
+        def counted(x, kernel=getattr(specfn, name)):
+            sizes.append(np.size(x))
+            return kernel(x)
+        monkeypatch.setattr(specfn, name, counted)
+    got = abelian.bogomolny_residual(three_term_monopole(), BENCH_BOX, 0.05)
+    assert got == pytest.approx(1.1288722445160181e-4, rel=1e-15, abs=0.0)
+    assert len(sizes) == 30 and sum(sizes) == 168_858
+    sizes.clear()
+    g = green.green_eval(CirclePoint3(2.0 + 1.0j, 0.7), ORIGIN, 1e-12)
+    assert g.regime is green.Regime.FOURIER_BESSEL and len(sizes) == 2
 
 
 def test_residual_memory_is_bounded_by_the_slab():
@@ -305,6 +330,27 @@ def test_radial_gauge_coclosed():
     assert worst <= 1e-10
 
 
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(2.0, 8.0), angle=st.floats(-math.pi, math.pi), t=st.floats(-10.0, 10.0),
+       k=st.sampled_from([-3, -2, -1, 1, 2, 3]), log_tol=st.floats(-14.0, -8.0))
+def test_radial_gauge_matches_scipy_mode_sum(r, angle, t, k, log_tol):
+    # the same count of _mode_counts, with the radial factors from scipy
+    tol = 10.0**log_tol
+    center = CirclePoint3(0.4 - 0.3j, 2.0)
+    p = CirclePoint3(center.z + r * cmath.exp(1j * angle), t)
+    rr = abs(p.z - center.z)
+    assume(rr >= 2.0)
+    m = AbelianMonopole([DiracTerm(center, k)], v=0.7, b=0.2)
+    fs = abelian.connection_radial_gauge(m, p, tol)
+    dt = green.reduce_angle_signed(p.t - center.t)
+    mode = np.arange(1, int(green._mode_counts(rr, tol / abs(k), 1)) + 1)
+    higgs = m.v + k * (math.log(rr) / TWO_PI - float(special.k0(mode * rr) @ np.cos(mode * dt)) / math.pi)
+    a_theta = k * (0.5 - dt / TWO_PI - rr * float(special.k1(mode * rr) @ np.sin(mode * dt)) / math.pi)
+    assert abs(fs.higgs - higgs) <= 1e-15 * max(abs(higgs), 1.0)
+    assert abs(fs.a_theta - a_theta) <= 1e-15 * max(abs(a_theta), 1.0)
+    assert fs.a_t == m.b
+
+
 def test_radial_gauge_exponential_decay():
     m = unit_monopole(b=0.0)
     fs = abelian.connection_radial_gauge(m, CirclePoint3(6.0, 1.0))
@@ -345,11 +391,11 @@ def test_holonomy_integral_route_matches():
     m = unit_monopole(b=0.25)
     for ang in np.linspace(-2.8, 2.8, 7):
         z = 2.0 * cmath.exp(1j * ang)
-        assert abs(abelian.holonomy_integral(m, z) - abelian.holonomy(m, z)) <= 1e-6
+        assert abs(oracles.holonomy_integral(m, z) - abelian.holonomy(m, z)) <= 1e-6
     three = three_term_monopole()
     for z in (2.0 + 1.0j, -1.5 + 0.2j):
-        assert abs(abelian.holonomy_integral(three, z) - abelian.holonomy(three, z)) <= 1e-6
-    assert abelian.holonomy_integral(abelian.vacuum(0.0, 0.3), 1.0) == pytest.approx(
+        assert abs(oracles.holonomy_integral(three, z) - abelian.holonomy(three, z)) <= 1e-6
+    assert oracles.holonomy_integral(abelian.vacuum(0.0, 0.3), 1.0) == pytest.approx(
         abelian.holonomy(abelian.vacuum(0.0, 0.3), 1.0), abs=1e-15)
 
 

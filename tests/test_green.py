@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import oracles
 from permono import green, specfn
 from permono.errors import OutOfRegimeError, SingularPointError, ToleranceUnreachableError
 from permono.green import ORIGIN, CirclePoint3, Regime
@@ -329,7 +330,9 @@ def test_regime_overlap_consistency():
 
 def test_dt_vanishing_on_half_period_planes():
     for r in (1.0, 3.0):
-        assert green.green_dt_zero_check(r) <= 1e-12
+        assert oracles.green_dt_zero_check(r) <= 1e-12
+        for t in (0.0, math.pi):
+            assert abs(green.green_eval(CirclePoint3(r, t), ORIGIN, 1e-14).grad[2]) <= 1e-12
     # cross-regime: image-sum gradient at r = 0.5, t in {0, pi}
     g0 = green.green_image_sum(CirclePoint3(0.5, 0.0), ORIGIN, 50000)
     gpi = green.green_image_sum(CirclePoint3(0.5, math.pi), ORIGIN, 50000)
@@ -377,37 +380,67 @@ def test_k_majorant_bounds_bessel_k(x, nu):
 
 @settings(max_examples=150, deadline=None)
 @given(r=st.floats(0.05, 20.0), log_tol=st.floats(-15.0, -2.0), nu=st.sampled_from([0, 1]))
-def test_bessel_modes_minimal_count_and_sound_bound(r, log_tol, nu):
+def test_mode_counts_minimal_with_bound_below_tol(r, log_tol, nu):
     tol = 10.0**log_tol
-    M, k0, k1, bound = green.bessel_modes(np.array([r]), tol, nu)
-    M = int(M[0])
+    M = int(green._mode_counts(np.array([r]), tol, nu)[0])
     pref = green._tail_prefactor(r, nu)
     assert pref == pytest.approx(r**nu / (math.pi * (1.0 - math.exp(-r))), rel=1e-14)
     assert pref * green.k_majorant((M + 1) * r, nu) <= tol
     if M > 0:
         assert pref * green.k_majorant(M * r, nu) > tol  # M - 1 modes miss tol
-    x = np.arange(1, M + 2) * r
-    kth = (specfn.bessel_k0, specfn.bessel_k1)[nu]
-    assert bound[0] == pref * kth(x[M]) and bound[0] <= tol
-    assert k0.shape[1] == M
-    np.testing.assert_array_equal(k0[0], specfn.bessel_k0(x[:M]))
-    np.testing.assert_array_equal(k1[0], specfn.bessel_k1(x[:M]))
 
 
-def test_bessel_modes_rows_zero_beyond_their_count():
+@settings(max_examples=150, deadline=None)
+@given(r=st.floats(0.05, 20.0), t=st.floats(0.0, TWO_PI), log_tol=st.floats(-15.0, -2.0))
+def test_fourier_bessel_bound_is_the_next_mode(r, t, log_tol):
+    # G's FB trunc_bound is pref(r) K0((M+1) r) at the count of _mode_counts
+    tol = 10.0**log_tol
+    M = green.fourier_terms_for(r, tol)
+    p = CirclePoint3(complex(r), t)
+    g = green.green_fourier_bessel(p, ORIGIN, M)
+    assert g.terms == M
+    assert g.trunc_bound == green._tail_prefactor(r, 0) * specfn.bessel_k0((M + 1) * r) <= tol
+    if r > green.R_SWITCH:
+        e = green.green_eval(p, ORIGIN, tol)
+        assert e.regime is Regime.FOURIER_BESSEL and e.terms == M
+        assert e.trunc_bound == g.trunc_bound and e.value == g.value
+
+
+def test_bessel_modes_fill_kept_pairs_and_zero_beyond():
+    # 1-D rows, with a spare plane past the largest count
     r = np.array([0.6, 2.0, 7.5])
-    M, k0, k1, bound = green.bessel_modes(r, 1e-12, 0)
-    assert M[0] > M[1] > M[2] and k0.shape[1] == M.max()
+    M = green._mode_counts(r, 1e-12, 0)
+    assert M[0] > M[1] > M[2]
+    k0, k1 = np.full((2, M.max() + 1, r.size), np.nan)
+    green.bessel_modes(r, M, k0, k1)
     for j in range(r.size):
-        assert np.all(k0[j, M[j]:] == 0.0) and np.all(k1[j, M[j]:] == 0.0)
-        assert np.all(k0[j, :M[j]] > 0.0)
-    assert np.all(bound <= 1e-12)
+        x = np.arange(1, M[j] + 1) * r[j]
+        np.testing.assert_array_equal(k0[:M[j], j], specfn.bessel_k0(x))
+        np.testing.assert_array_equal(k1[:M[j], j], specfn.bessel_k1(x))
+        assert np.all(k0[M[j]:, j] == 0.0) and np.all(k1[M[j]:, j] == 0.0)
+    # a (16, ny) slab of grid nodes with mixed counts, into views of one buffer
+    X, Y = np.arange(2.0, 2.8, 0.05), np.arange(-3.0, 3.0, 0.25)
+    r = np.hypot(X[:, None], Y[None, :])
+    M = green._mode_counts(r, 1e-15, 1)
+    assert r.shape == (16, Y.size) and M.min() < M.max()
+    F = np.full((3, M.max() + 2, 16, Y.size), np.nan)
+    green.bessel_modes(r, M, F[0, 1:], F[2, :-1])
+    m = np.arange(1, M.max() + 2)[:, None, None]
+    keep = m <= M
+    x = (m * r)[keep]
+    for plane, kernel in ((F[0, 1:], specfn.bessel_k0), (F[2, :-1], specfn.bessel_k1)):
+        np.testing.assert_array_equal(plane[keep], kernel(x))
+        assert np.all(plane[~keep] == 0.0)
+    assert np.isnan(F[1]).all() and np.isnan(F[0, 0]).all() and np.isnan(F[2, -1]).all()
+
+
+def test_mode_counts_reject_bad_rows_and_tolerances():
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            green.bessel_modes(np.array([1.0, bad]), 1e-12, 0)
+            green._mode_counts(np.array([1.0, bad]), 1e-12, 0)
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            green.bessel_modes(r, bad, 1)
+            green._mode_counts(np.array([0.6, 2.0, 7.5]), bad, 1)
 
 
 def fourier_bessel_oracle(r, t):
