@@ -23,13 +23,12 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import green
-from .errors import OutOfRegimeError, SingularPointError
+from .errors import OutOfRegimeError, SingularPointError, require_integer
 from .green import CirclePoint3, reduce_angle_signed
 
 TWO_PI = 2.0 * math.pi
@@ -47,10 +46,7 @@ class DiracTerm:
     kind: Kind = Kind.PERIODIC
 
     def __post_init__(self):
-        try:
-            operator.index(self.charge)
-        except TypeError:
-            raise ValueError(f"Dirac charge must be an integer, got {self.charge!r}") from None
+        require_integer("Dirac charge", self.charge)
         if self.charge == 0:
             raise ValueError("Dirac term must carry nonzero charge")
 

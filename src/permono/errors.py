@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer check of
+charges and counts."""
+
+import operator
 
 
 class SingularPointError(ValueError):
@@ -31,3 +34,12 @@ class UnderResolvedError(RuntimeError):
 
 class ResolutionTooLowError(RuntimeError):
     """Discretized spectrum has not converged at the requested resolution."""
+
+
+def require_integer(name: str, value) -> int:
+    """value as an int (by ``operator.index``, so 2.0 and 0.5 both fail);
+    a ValueError naming `name` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -21,33 +21,37 @@ The configurations are reducible (valued in the sigma_3 line of su(2)), so
 connections are handled through their real u(1) coefficient 1-form w, with
 curvature dw; the weight-k circle action of the singular gauge acts on the
 off-diagonal part by the phase e^{i k theta_1} (chart z1 != 0).
+
+A ``Quat4Point`` may hold arrays of points. The Gibbons-Hawking data and the
+Dirac lift work elementwise, components first, so ``curvature_richardson``
+gets its 16 stencil forms from one ``form_fn`` call. Charges are integers.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRegimeError
+from .errors import OutOfRegimeError, require_integer
 
 _AXIS_EPS = 1e-8
 
 
 @dataclass
 class Quat4Point:
-    """A point of R^4 = C^2."""
+    """A point of R^4 = C^2, or an array of points: z1 and z2 are complex
+    scalars or complex arrays of one shape."""
 
-    z1: complex
-    z2: complex
+    z1: complex | np.ndarray
+    z2: complex | np.ndarray
 
     def __post_init__(self):
-        self.z1 = complex(self.z1)
-        self.z2 = complex(self.z2)
-        if not (cmath.isfinite(self.z1) and cmath.isfinite(self.z2)):
-            raise ValueError(f"point coordinates must be finite, got ({self.z1}, {self.z2})")
+        z1, z2 = np.asarray(self.z1, dtype=complex), np.asarray(self.z2, dtype=complex)
+        if z1.shape != z2.shape or not (np.isfinite(z1).all() and np.isfinite(z2).all()):
+            raise ValueError(f"point coordinates must be finite, of one shape, got ({self.z1}, {self.z2})")
+        self.z1, self.z2 = (complex(z1), complex(z2)) if z1.ndim == 0 else (z1, z2)
 
     @property
     def rho(self) -> float:
@@ -55,16 +59,18 @@ class Quat4Point:
         return abs(self.z1) ** 2 + abs(self.z2) ** 2
 
     def as_array(self) -> np.ndarray:
+        """Real coordinates (x1, x2, x3, x4), shape (4, *shape)."""
         return np.array([self.z1.real, self.z1.imag, self.z2.real, self.z2.imag])
 
     @staticmethod
     def from_array(x) -> "Quat4Point":
-        return Quat4Point(complex(x[0], x[1]), complex(x[2], x[3]))
+        return Quat4Point(x[0] + 1j * x[1], x[2] + 1j * x[3])
 
 
 @dataclass
 class LiftedForm:
-    """A 1-form on R^4 at a base point, in the Cartesian frame (dx1..dx4)."""
+    """A 1-form on R^4 at a base point, in the Cartesian frame (dx1..dx4),
+    of shape (4, *shape) at an array of points; norm_sq and pair take one."""
 
     components: np.ndarray
     base: Quat4Point
@@ -105,21 +111,10 @@ def circle_act(p: Quat4Point, s: float) -> Quat4Point:
     return Quat4Point(p.z1 * np.exp(1j * s), p.z2 * np.exp(-1j * s))
 
 
-def circle_pushforward(s: float) -> np.ndarray:
-    """Differential of the circle action (block rotation by +s and -s)."""
-    c, n = math.cos(s), math.sin(s)
-    return np.array([
-        [c, -n, 0, 0],
-        [n, c, 0, 0],
-        [0, 0, c, n],
-        [0, 0, -n, c],
-    ])
-
-
 def gh_potential(p: Quat4Point) -> float:
     """h = 1/(2 rho)."""
     rho = p.rho
-    if rho == 0.0:
+    if np.any(rho == 0.0):
         raise OutOfRegimeError("Gibbons-Hawking data undefined at the origin")
     return 0.5 / rho
 
@@ -127,16 +122,7 @@ def gh_potential(p: Quat4Point) -> float:
 def gibbons_hawking_connection(p: Quat4Point) -> LiftedForm:
     """theta0 = Im(conj(z1) dz1 - conj(z2) dz2)/rho; theta0(fiber) = 1 and
     d theta0 = pi^*(*dh) with h = 1/(2 rho)."""
-    rho = p.rho
-    if rho == 0.0:
-        raise OutOfRegimeError("Gibbons-Hawking data undefined at the origin")
-    x1, x2, x3, x4 = p.as_array()
-    return LiftedForm(np.array([-x2, x1, x4, -x3]) / rho, p)
-
-
-def lifted_metric(u: np.ndarray, v: np.ndarray) -> float:
-    """g_hat(u, v) = 2 u . v."""
-    return 2.0 * float(np.dot(u, v))
+    return LiftedForm(2.0 * gh_potential(p) * fiber_tangent(p), p)
 
 
 def lift_form(a, psi: float, p: Quat4Point) -> LiftedForm:
@@ -145,36 +131,39 @@ def lift_form(a, psi: float, p: Quat4Point) -> LiftedForm:
     a = np.asarray(a, dtype=float)
     if a.shape != (3,):
         raise ValueError("a must be a 3-component base covector")
+    if not math.isfinite(psi):
+        raise ValueError(f"psi must be finite, got {psi}")
     h = gh_potential(p)
     comps = projection_jacobian(p).T @ a - (psi / h) * gibbons_hawking_connection(p).components
     return LiftedForm(comps, p)
 
 
 def _chart(p: Quat4Point, chart: str) -> str:
+    """The chart, checked at every point of p; 'auto' takes one point."""
     if chart not in ("+", "-", "auto"):
         raise ValueError(f"chart must be '+', '-' or 'auto', got {chart!r}")
-    r1, r2 = abs(p.z1), abs(p.z2)
-    if r1 < _AXIS_EPS and r2 < _AXIS_EPS:
+    near1, near2 = np.abs(p.z1) < _AXIS_EPS, np.abs(p.z2) < _AXIS_EPS
+    if (near1 & near2).any():
         raise OutOfRegimeError("point too close to the origin of the 4-ball")
     if chart == "auto":
-        chart = "+" if r1 >= r2 else "-"
-    if chart == "+" and r1 < _AXIS_EPS:
+        chart = "+" if abs(p.z1) >= abs(p.z2) else "-"
+    if chart == "+" and near1.any():
         raise OutOfRegimeError("chart '+' is singular on the z1 = 0 axis")
-    if chart == "-" and r2 < _AXIS_EPS:
+    if chart == "-" and near2.any():
         raise OutOfRegimeError("chart '-' is singular on the z2 = 0 axis")
     return chart
 
 
 def _dtheta1(p: Quat4Point) -> np.ndarray:
     x1, x2, x3, x4 = p.as_array()
-    r2 = x1 * x1 + x2 * x2
-    return np.array([-x2, x1, 0.0, 0.0]) / r2
+    zero = np.zeros_like(x1)
+    return np.array([-x2, x1, zero, zero]) / (x1 * x1 + x2 * x2)
 
 
 def _dtheta2(p: Quat4Point) -> np.ndarray:
     x1, x2, x3, x4 = p.as_array()
-    r2 = x3 * x3 + x4 * x4
-    return np.array([0.0, 0.0, -x4, x3]) / r2
+    zero = np.zeros_like(x3)
+    return np.array([zero, zero, -x4, x3]) / (x3 * x3 + x4 * x4)
 
 
 def lift_dirac_connection(k: int, mass: float, p: Quat4Point, chart: str) -> LiftedForm:
@@ -195,6 +184,7 @@ def lift_dirac_connection(k: int, mass: float, p: Quat4Point, chart: str) -> Lif
     over a stencil must keep one gauge at every stencil point, and a
     per-point choice switches gauge where |z1| = |z2| crosses the stencil.
     """
+    k = require_integer("charge k", k)
     if chart not in ("+", "-"):
         raise ValueError(f"chart must be '+' or '-', got {chart!r}")
     if not math.isfinite(mass):
@@ -206,6 +196,7 @@ def lift_dirac_connection(k: int, mass: float, p: Quat4Point, chart: str) -> Lif
 def singular_gauge_phase(k: int, p: Quat4Point, chart: str = "auto") -> complex:
     """Unit phase of the singular gauge transformation on the off-diagonal
     line: e^{i k theta1} on chart '+', e^{-i k theta2} on chart '-'."""
+    k = require_integer("charge k", k)
     chart = _chart(p, chart)
     if chart == "+":
         th = math.atan2(p.z1.imag, p.z1.real)
@@ -215,27 +206,37 @@ def singular_gauge_phase(k: int, p: Quat4Point, chart: str = "auto") -> complex:
 
 
 _PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+_MU, _NU = np.array(_PAIRS).T
+# _SIGNED_UNIT[coordinate, sign, mu] = +-delta(coordinate, mu): the directions p +- e_mu
+_SIGNED_UNIT = np.multiply.outer(np.eye(4), [1.0, -1.0]).transpose(0, 2, 1)
+
+
+def _stencil_curvatures(form_fn, p: Quat4Point, h: float, fractions) -> np.ndarray:
+    """Central-difference curvatures F_{mu nu} = d_mu w_nu - d_nu w_mu of a
+    1-form field at each step h * fraction, shape (len(fractions), 6), from
+    one form_fn call on all 8 len(fractions) stencil points p +- step e_mu."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be finite and > 0, got {h}")
+    steps = h * np.asarray(fractions)
+    pts = p.as_array()[:, None, None, None] + _SIGNED_UNIT[:, None] * steps[:, None, None]
+    w = form_fn(Quat4Point.from_array(pts)).components  # w[nu, s, sign, mu]
+    grad = (w[:, :, 0] - w[:, :, 1]) / (2.0 * steps[:, None])  # grad[nu, s, mu] = d_mu w_nu
+    return (grad[_NU, :, _MU] - grad[_MU, :, _NU]).T
 
 
 def curvature_fd(form_fn, p: Quat4Point, h: float) -> np.ndarray:
     """Central-difference curvature F_{mu nu} = d_mu w_nu - d_nu w_mu of a
-    1-form field; returns the 6 components ordered (12, 13, 14, 23, 24, 34)."""
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"step h must be finite and > 0, got {h}")
-    x = p.as_array()
-    grad = np.zeros((4, 4))  # grad[mu, nu] = d_mu w_nu
-    for mu in range(4):
-        e = np.zeros(4)
-        e[mu] = h
-        wp = form_fn(Quat4Point.from_array(x + e)).components
-        wm = form_fn(Quat4Point.from_array(x - e)).components
-        grad[mu] = (wp - wm) / (2.0 * h)
-    return np.array([grad[mu, nu] - grad[nu, mu] for mu, nu in _PAIRS])
+    1-form field; returns the 6 components ordered (12, 13, 14, 23, 24, 34).
+    form_fn takes a Quat4Point array of stencil points and returns their
+    forms at once, as ``lift_dirac_connection`` does."""
+    return _stencil_curvatures(form_fn, p, h, [1.0])[0]
 
 
 def curvature_richardson(form_fn, p: Quat4Point, h: float) -> np.ndarray:
-    """Fourth-order curvature via Richardson extrapolation of the stencil."""
-    return (4.0 * curvature_fd(form_fn, p, 0.5 * h) - curvature_fd(form_fn, p, h)) / 3.0
+    """Fourth-order curvature via Richardson extrapolation of the stencil at
+    steps h/2 and h, both from one form_fn call on their 16 points."""
+    half, full = _stencil_curvatures(form_fn, p, h, [0.5, 1.0])
+    return (4.0 * half - full) / 3.0
 
 
 def self_dual_part_norm(F: np.ndarray) -> float:
@@ -247,33 +248,6 @@ def self_dual_part_norm(F: np.ndarray) -> float:
     return math.sqrt(s1 * s1 + s2 * s2 + s3 * s3)
 
 
-def curvature_norm_sq_lifted(F: np.ndarray) -> float:
-    """|F|^2 in g_hat (2-forms scale by the inverse square conformal factor)."""
-    return 0.25 * float(np.dot(F, F))
-
-
 def dirac_curvature_analytic(mass: float) -> np.ndarray:
     """Exact curvature of the lifted Dirac connection: -4 mass (dx12 - dx34)."""
     return np.array([-4.0 * mass, 0.0, 0.0, 0.0, 0.0, 4.0 * mass])
-
-
-def pullback_base_two_form(beta: np.ndarray, p: Quat4Point) -> np.ndarray:
-    """pi^* of a 2-form on R^3 given by components (b23, b31, b12) -> the six
-    4D components ordered as in curvature_fd."""
-    J = projection_jacobian(p)
-    B = np.array([
-        [0.0, beta[2], -beta[1]],
-        [-beta[2], 0.0, beta[0]],
-        [beta[1], -beta[0], 0.0],
-    ])
-    M = J.T @ B @ J
-    return np.array([M[mu, nu] for mu, nu in _PAIRS])
-
-
-def star_dh(p: Quat4Point) -> np.ndarray:
-    """pi^*(*_3 dh) at p, for h = 1/(2 rho): the exact value of d theta0."""
-    X = hopf_project(p)
-    rho = float(np.linalg.norm(X))
-    grad_h = -X / (2.0 * rho**3)
-    # (*dh)_{jk} = eps_{jkl} d_l h; components (23, 31, 12) = grad_h
-    return pullback_base_two_form(grad_h, p)

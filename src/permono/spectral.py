@@ -14,7 +14,11 @@ The oracle assembles the Bochner Laplacian of the two-chart connection with
 half-integer curvature ((+-1 - cos phi) m/2 dtheta per chart), reduced by the
 theta-Fourier transform to a family of singular 1D operators in phi,
 discretized on a pole-offset grid, so the eigenvalues (l(l+2) - m^2)/4 are
-asserted directly with no normalization factor.
+asserted directly with no normalization factor. The modes n and -n-|m| are
+mirror images under phi -> pi - phi (the m_q <-> -m_q symmetry of monopole
+harmonics, Wu & Yang 1976), so the oracle solves one of each pair.
+
+Charges, j_max, l_cut and n_phi must be integers (``require_integer``).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ResolutionTooLowError
+from .errors import ResolutionTooLowError, require_integer
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,7 @@ def kuwabara_eigenvalues(m: int, j_max: int) -> list[tuple[int, float, int]]:
 def operator_L_spectrum(m: int, j_max: int) -> WeightSpectrum:
     """Eigenvalues l(l+2)/4 of L = (sphere Laplacian, Bochner + m^2/4) and the
     exceptional weights gamma_j^+- of the indicial equation g^2 + g = lambda."""
+    m, j_max = require_integer("m", m), require_integer("j_max", j_max)
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     entries = []
@@ -93,6 +98,7 @@ def is_exceptional(delta: float, m: int, j_max: int = 64,
         raise ValueError(f"delta must be finite, got {delta}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    m, j_max = require_integer("m", m), require_integer("j_max", j_max)
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     a = abs(m) / 2.0
@@ -122,20 +128,25 @@ class OracleSpectrum:
     clusters: list[OracleCluster]
 
 
-def _mode_eigenvalues(m: int, n: int, n_phi: int, lam_max: float) -> np.ndarray:
-    """Lowest eigenvalues (<= lam_max) of the theta-mode-n radial operator
-    -(1/sin)(sin f')' + (n + m(1-cos)/2)^2/sin^2 f on the pole-offset grid."""
+def _phi_grid(m: int, n_phi: int):
+    """The parts shared by every theta-mode n of the symmetrized radial
+    operators -(1/sin)(sin f')' + (n + m(1-cos)/2)^2/sin^2 f on the
+    pole-offset grid phi_i = (i + 1/2) pi/n_phi: the Laplacian's diagonal,
+    the off-diagonal, m(1-cos)/2 and sin."""
     h = math.pi / n_phi
     phi = (np.arange(n_phi) + 0.5) * h
     s = np.sin(phi)
     s_half_up = np.sin(phi + 0.5 * h)
     s_half_dn = np.sin(phi - 0.5 * h)  # = 0 at the first node's lower face
-    alpha = 0.5 * m * (1.0 - np.cos(phi))
-    diag = (s_half_up + s_half_dn) / (s * h * h) + ((n + alpha) / s) ** 2
+    lap = (s_half_up + s_half_dn) / (s * h * h)
     off = -s_half_up[:-1] / (h * h * np.sqrt(s[:-1] * s[1:]))
-    vals = eigh_tridiagonal(diag, off, select="v",
-                            select_range=(-0.5, lam_max), eigvals_only=True)
-    return vals
+    return lap, off, 0.5 * m * (1.0 - np.cos(phi)), s
+
+
+def _mode_diagonal(grid, n: int) -> np.ndarray:
+    """Diagonal of the theta-mode-n operator; its off-diagonal is grid[1]."""
+    lap, _off, alpha, s = grid
+    return lap + ((n + alpha) / s) ** 2
 
 
 def sphere_laplacian_oracle(m: int, l_cut: int, n_phi: int = 600) -> OracleSpectrum:
@@ -144,22 +155,35 @@ def sphere_laplacian_oracle(m: int, l_cut: int, n_phi: int = 600) -> OracleSpect
 
     Convergence is certified by a half-resolution Richardson comparison; if
     any reported eigenvalue moves by more than 5% the resolution is rejected.
+
+    Under phi -> pi - phi the grid maps onto itself and m(1-cos)/2 onto
+    |m| - m(1-cos)/2, so the operator of mode n is the entrywise reversal of
+    that of -n-|m| (to rounding), with the same eigenvalues. Only the member
+    n >= -|m|/2 of each pair is solved and its eigenvalues count for both;
+    the self-mirror mode n = -|m|/2 (|m| even) counts once.
     """
+    m, l_cut = require_integer("m", m), require_integer("l_cut", l_cut)
+    n_phi = require_integer("n_phi", n_phi)
+    if n_phi < 2:
+        raise ValueError(f"n_phi must be >= 2, got {n_phi}")
     if l_cut > 8:
         raise ValueError("oracle is a desk-scale instrument: l_cut <= 8")
     ma = abs(m)
     if l_cut < ma or (l_cut - ma) % 2 != 0:
         raise ValueError("l_cut must be |m| + 2j for some j >= 0")
     lam_max = (l_cut * (l_cut + 2) - ma * ma) / 4.0 + 0.251
-    # the l-eigenspace spreads over theta-modes n = m_q - m/2, m_q = -l/2..l/2
-    n_lo = -(ma + l_cut) // 2
+    # the l-eigenspace spreads over theta-modes n = m_q - m/2, m_q = -l/2..l/2;
+    # n runs over -(|m| + l_cut)/2 .. (l_cut - |m|)/2, closed under the mirror
     n_hi = (l_cut - ma) // 2
 
     def collect(res: int) -> np.ndarray:
+        grid = _phi_grid(ma, res)
         vals = []
-        for n in range(n_lo, n_hi + 1):
-            vals.extend(_mode_eigenvalues(ma, n, res, lam_max))
-        return np.sort(np.array(vals))
+        for n in range(-(ma // 2), n_hi + 1):
+            v = eigh_tridiagonal(_mode_diagonal(grid, n), grid[1], select="v",
+                                 select_range=(-0.5, lam_max), eigvals_only=True)
+            vals.extend((v, v) if 2 * n != -ma else (v,))
+        return np.sort(np.concatenate(vals))
 
     vals = collect(n_phi)
     coarse = collect(n_phi // 2)

@@ -1,6 +1,7 @@
 """Oracles of the test suite that check ``permono`` by routes of their own:
 Fourier-Bessel sums of G built from scipy's K0/K1, never from the package's
-mode kernel ``green.bessel_modes``."""
+mode kernel ``green.bessel_modes``, and the closed forms of the flat lifted
+metric g_hat = 2 g_euclid that the Hopf tests compare against."""
 
 import cmath
 import math
@@ -8,7 +9,7 @@ import math
 import numpy as np
 from scipy import special
 
-from permono import abelian, green
+from permono import abelian, green, hopf
 from permono.errors import SingularPointError
 
 TWO_PI = 2.0 * math.pi
@@ -52,3 +53,40 @@ def holonomy_integral(m: abelian.AbelianMonopole, z: complex) -> complex:
             raise SingularPointError("holonomy undefined through a singular center")
         phase += term.charge * flux_through_fiber(abs(dz), ts - term.center.t) * cmath.phase(dz)
     return cmath.exp(-1j * phase)
+
+
+def circle_pushforward(s: float) -> np.ndarray:
+    """Differential of the circle action (block rotation by +s and -s)."""
+    c, n = math.cos(s), math.sin(s)
+    return np.array([
+        [c, -n, 0, 0],
+        [n, c, 0, 0],
+        [0, 0, c, n],
+        [0, 0, -n, c],
+    ])
+
+
+def lifted_metric(u: np.ndarray, v: np.ndarray) -> float:
+    """g_hat(u, v) = 2 u . v."""
+    return 2.0 * float(np.dot(u, v))
+
+
+def curvature_norm_sq_lifted(F: np.ndarray) -> float:
+    """|F|^2 in g_hat (2-forms scale by the inverse square conformal factor)."""
+    return 0.25 * float(np.dot(F, F))
+
+
+def star_dh(p: hopf.Quat4Point) -> np.ndarray:
+    """pi^*(*_3 dh) at p, for h = 1/(2 rho): the exact value of d theta0, as
+    the six components (12, 13, 14, 23, 24, 34) of ``hopf.curvature_fd``."""
+    X = hopf.hopf_project(p)
+    b = -X / (2.0 * float(np.linalg.norm(X)) ** 3)
+    # (*dh)_{jk} = eps_{jkl} d_l h: components (23, 31, 12) = grad h
+    B = np.array([
+        [0.0, b[2], -b[1]],
+        [-b[2], 0.0, b[0]],
+        [b[1], -b[0], 0.0],
+    ])
+    J = hopf.projection_jacobian(p)
+    M = J.T @ B @ J
+    return np.array([M[mu, nu] for mu, nu in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))])

@@ -3,7 +3,10 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permono import hopf
 from permono.errors import OutOfRegimeError
@@ -59,7 +62,7 @@ def test_theta0_fiber_normalization_and_invariance():
         for s in (0.4, 2.0):
             q = hopf.circle_act(p, s)
             thq = hopf.gibbons_hawking_connection(q)
-            R = hopf.circle_pushforward(s)
+            R = oracles.circle_pushforward(s)
             v = np.array([0.3, -0.2, 0.5, 0.1])
             assert thq.pair(R @ v) == pytest.approx(th.pair(v), abs=1e-12)
     with pytest.raises(OutOfRegimeError):
@@ -72,7 +75,7 @@ def test_dtheta0_equals_star_dh():
     errs = []
     for h in (2e-2, 1e-2, 5e-3):
         F = hopf.curvature_fd(hopf.gibbons_hawking_connection, p, h)
-        errs.append(np.abs(F - hopf.star_dh(p)).max())
+        errs.append(np.abs(F - oracles.star_dh(p)).max())
     assert errs[0] <= 1e-2
     assert 1.8 <= math.log2(errs[0] / errs[1]) <= 2.2
     assert 1.8 <= math.log2(errs[1] / errs[2]) <= 2.2
@@ -86,7 +89,7 @@ def test_metric_correspondence():
         J = hopf.projection_jacobian(p)
         u, v = rng.normal(size=4), rng.normal(size=4)
         gh = h * float(np.dot(J @ u, J @ v)) + (1.0 / h) * th.pair(u) * th.pair(v)
-        assert gh == pytest.approx(hopf.lifted_metric(u, v), abs=1e-10 * (1 + abs(gh)))
+        assert gh == pytest.approx(oracles.lifted_metric(u, v), abs=1e-10 * (1 + abs(gh)))
 
 
 def test_lift_form_norm_identity_examples():
@@ -160,7 +163,7 @@ def test_curvature_matches_analytic_constant():
             # the charge part of the lift is flat, so by the Bogomolny equation
             # |F|^2 = 2 |d(h^{-1} Phi)|^2 = 2 |d(2 mass rho theta0)|^2 = 8 mass^2,
             # whatever the charge and the point
-            got = hopf.curvature_norm_sq_lifted(F)
+            got = oracles.curvature_norm_sq_lifted(F)
             want = 8.0 * mass**2
             assert abs(got - want) <= 1e-8 * max(1.0, want)
 
@@ -189,7 +192,7 @@ def test_equivariance_of_lift_and_gauge_weight():
     for p in rand_points(5, seed=60):
         for s in (0.7, 1.9):
             q = hopf.circle_act(p, s)
-            R = hopf.circle_pushforward(s)
+            R = oracles.circle_pushforward(s)
             v = np.array([0.2, 0.1, -0.4, 0.3])
             wp = hopf.lift_dirac_connection(1, 1.0, p, chart="+")
             wq = hopf.lift_dirac_connection(1, 1.0, q, chart="+")
@@ -239,3 +242,73 @@ def test_curvature_across_equal_moduli(mass):
         F = hopf.curvature_richardson(lambda q: hopf.lift_dirac_connection(1, mass, q, chart), p, h)
         assert hopf.self_dual_part_norm(F) <= 1e-9
         assert np.abs(F - hopf.dirac_curvature_analytic(mass)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: hopf.lift_dirac_connection(1.5, 1.0, p, "+"),
+    lambda p: hopf.lift_dirac_connection(np.nan, 1.0, p, "+"),
+    lambda p: hopf.singular_gauge_phase(0.5, p),
+])
+def test_charges_must_be_integers(call):
+    with pytest.raises(ValueError, match="charge k must be an integer"):
+        call(Quat4Point(0.8, 0.3j))
+
+
+@pytest.mark.parametrize("psi", [math.nan, math.inf])
+def test_lift_form_rejects_non_finite_psi(psi):
+    with pytest.raises(ValueError, match="psi must be finite"):
+        hopf.lift_form([0.1, 0.2, 0.3], psi, Quat4Point(0.8, 0.3j))
+
+
+def test_quat_point_holds_arrays_of_one_shape():
+    z1, z2 = np.array([0.5 + 0.1j, -0.3j]), np.array([0.2, 0.7 + 0.7j])
+    p = Quat4Point(z1, z2)
+    assert p.as_array().shape == (4, 2)
+    for i in range(2):
+        q = Quat4Point(z1[i], z2[i])
+        assert np.array_equal(hopf.fiber_tangent(p)[:, i], hopf.fiber_tangent(q))
+        assert np.array_equal(hopf.lift_dirac_connection(2, 0.5, p, "+").components[:, i],
+                              hopf.lift_dirac_connection(2, 0.5, q, "+").components)
+    with pytest.raises(ValueError, match="one shape"):
+        Quat4Point(z1, z2[:1])
+    with pytest.raises(OutOfRegimeError):
+        hopf.lift_dirac_connection(1, 0.0, Quat4Point(z1, np.array([0.2, 0.0])), "-")
+
+
+def per_point_richardson(form_fn, p, h):
+    """The Richardson curvature with one scalar form_fn call per stencil point."""
+    x = p.as_array()
+
+    def fd(step):
+        grad = np.zeros((4, 4))  # grad[mu, nu] = d_mu w_nu
+        for mu in range(4):
+            e = np.zeros(4)
+            e[mu] = step
+            wp = form_fn(Quat4Point(complex(*(x + e)[:2]), complex(*(x + e)[2:]))).components
+            wm = form_fn(Quat4Point(complex(*(x - e)[:2]), complex(*(x - e)[2:]))).components
+            grad[mu] = (wp - wm) / (2.0 * step)
+        return np.array([grad[mu, nu] - grad[nu, mu] for mu, nu in hopf._PAIRS])
+
+    return (4.0 * fd(0.5 * h) - fd(h)) / 3.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(-3, 3), mass=st.floats(0.0, 1.5),
+       mod=st.tuples(st.floats(0.25, 1.2), st.floats(0.25, 1.2)),
+       ang=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+       chart=st.sampled_from(["+", "-"]))
+def test_richardson_lifts_its_stencil_in_one_call(k, mass, mod, ang, chart):
+    p = Quat4Point(mod[0] * np.exp(1j * ang[0]), mod[1] * np.exp(1j * ang[1]))
+    lift = hopf.lift_dirac_connection
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lift(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hopf, "lift_dirac_connection", counted)
+        F = hopf.curvature_richardson(lambda q: hopf.lift_dirac_connection(k, mass, q, chart), p, 1e-2)
+    assert len(calls) == 1 and np.shape(calls[0][2].z1) == (2, 2, 4)
+    want = per_point_richardson(lambda q: lift(k, mass, q, chart), p, 1e-2)
+    assert np.abs(F - want).max() <= 1e-12

@@ -142,3 +142,77 @@ def test_oracle_guards():
         spectral.sphere_laplacian_oracle(0, 10)  # beyond desk scale
     with pytest.raises(ResolutionTooLowError):
         spectral.sphere_laplacian_oracle(3, 7, n_phi=16)
+
+
+@pytest.mark.parametrize("n_phi", [1, 0, -600, 600.7, 2.0, "600", None])
+def test_oracle_rejects_bad_n_phi(n_phi):
+    with pytest.raises(ValueError, match="n_phi"):
+        spectral.sphere_laplacian_oracle(0, 4, n_phi=n_phi)
+
+
+@pytest.mark.parametrize("n_phi", [2, 16])
+def test_oracle_small_n_phi_is_under_resolved(n_phi):
+    with pytest.raises(ResolutionTooLowError):
+        spectral.sphere_laplacian_oracle(0, 4, n_phi=n_phi)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: spectral.operator_L_spectrum(np.nan, 1), "m"),
+    (lambda: spectral.operator_L_spectrum(1, 1.5), "j_max"),
+    (lambda: spectral.kuwabara_eigenvalues(0.5, 1), "m"),
+    (lambda: spectral.is_exceptional(0.3, 0.5), "m"),
+    (lambda: spectral.is_exceptional(0.3, 1, j_max=4.0), "j_max"),
+    (lambda: spectral.sphere_laplacian_oracle(0.5, 4.5), "m"),
+    (lambda: spectral.sphere_laplacian_oracle(0, 4.0), "l_cut"),
+])
+def test_charges_and_counts_must_be_integers(call, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call()
+
+
+def _mode_range(m, l_cut):
+    return range(-(abs(m) + l_cut) // 2, (l_cut - abs(m)) // 2 + 1)
+
+
+@pytest.mark.parametrize("n_phi", [16, 200, 600, 800])
+def test_mirror_modes_have_reversed_operators(n_phi):
+    # phi -> pi - phi maps mode n onto -n-|m|; the two assembled operators
+    # agree entrywise after reversal to rounding (5.4e-13 measured up to
+    # n_phi = 1600), which is what lets the oracle solve one of each pair
+    for m in range(-3, 4):
+        grid = spectral._phi_grid(abs(m), n_phi)
+        off = grid[1]
+        assert np.all(np.abs(off - off[::-1]) <= 2e-12 * np.abs(off))
+        # the widest mode range, that of the largest l_cut <= 8
+        for n in _mode_range(m, abs(m) + 2 * ((8 - abs(m)) // 2)):
+            d = spectral._mode_diagonal(grid, n)
+            mirror = spectral._mode_diagonal(grid, -n - abs(m))[::-1]
+            assert np.all(np.abs(d - mirror) <= 2e-12 * np.abs(d)), (m, n)
+
+
+def _all_modes_spectrum(m, l_cut, n_phi):
+    """Every theta-mode operator assembled and solved on its own, as
+    -(1/sin)(sin f')' + (n + |m|(1-cos)/2)^2/sin^2 f on the pole-offset grid."""
+    from scipy.linalg import eigh_tridiagonal
+
+    ma = abs(m)
+    lam_max = (l_cut * (l_cut + 2) - ma * ma) / 4.0 + 0.251
+    h = np.pi / n_phi
+    phi = (np.arange(n_phi) + 0.5) * h
+    s, up, dn = np.sin(phi), np.sin(phi + 0.5 * h), np.sin(phi - 0.5 * h)
+    off = -up[:-1] / (h * h * np.sqrt(s[:-1] * s[1:]))
+    vals = [eigh_tridiagonal((up + dn) / (s * h * h) + ((n + 0.5 * ma * (1.0 - np.cos(phi))) / s) ** 2,
+                             off, select="v", select_range=(-0.5, lam_max), eigvals_only=True)
+            for n in _mode_range(m, l_cut)]
+    return np.sort(np.concatenate(vals))
+
+
+@pytest.mark.parametrize("m", range(-3, 4))
+def test_oracle_matches_all_modes_solve(m):
+    # 1.4e-10 measured over m = -3..3, every l_cut <= 8, n_phi in 200..800
+    for l_cut in (abs(m) + 2, abs(m) + 4):
+        for n_phi in (200, 600):
+            got = spectral.sphere_laplacian_oracle(m, l_cut, n_phi).eigenvalues
+            want = _all_modes_spectrum(m, l_cut, n_phi)
+            assert got.size == want.size
+            assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(np.abs(want), 1.0))
