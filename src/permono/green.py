@@ -12,6 +12,8 @@ G has three regimes; ``green_eval_many`` takes each where stated (rho = |p - q|)
 * ``ImageSum``     -- the rest, rho >= pi/2 or tol < _TOL_FLOOR at rho >= RHO_SWITCH:
   the regularized sum over circle images, valid everywhere; pairing the +/-m images
   bounds its tail by a 2nd-order Taylor remainder C(r)/M^2, C(r) = (1/(3 pi) + r^2/pi^3)/4.
+  The M image pairs are summed in blocks of _IMAGE_BLOCK, so its memory is
+  O(_IMAGE_BLOCK) at any M and only its time grows with M.
 
 Every evaluation returns the value, the gradient (d/dx, d/dy, d/dt) and the
 certified truncation bound of the value for the regime used.
@@ -45,7 +47,12 @@ import numpy as np
 from scipy import special
 
 from . import specfn
-from .errors import OutOfRegimeError, SingularPointError, ToleranceUnreachableError
+from .errors import (
+    OutOfRegimeError,
+    SingularPointError,
+    ToleranceUnreachableError,
+    require_integer,
+)
 from .specfn import A0
 
 TWO_PI = 2.0 * math.pi
@@ -62,6 +69,8 @@ _LZ_TAIL = float(special.zeta(3.0)) / TWO_PI
 #: hard ceilings on series lengths before giving up on a tolerance
 _MAX_IMAGE_TERMS = 20_000_000
 _MAX_FOURIER_TERMS = 200_000
+#: images per block of the image sum (six float64 buffers of this length, 384 KiB)
+_IMAGE_BLOCK = 8192
 #: series floor (one ulp of |G| at rho = 1e-6 is 5.8e-11): below it rho < RHO_SWITCH raises
 _TOL_FLOOR = 1e-12  # ToleranceUnreachableError and RHO_SWITCH <= rho < RHO_SERIES takes ImageSum
 
@@ -119,6 +128,12 @@ class GreenEval:
     terms: int = field(default=0)
 
 
+def _require_tol(tol) -> None:
+    """The one tolerance check of the module: a ValueError unless 0 < tol < inf."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def _offsets(p: CirclePoint3, q: CirclePoint3) -> tuple[float, float, float]:
     """Coordinates of p recentred at q, circle offset reduced to (-pi, pi]."""
     dz = p.z - q.z
@@ -137,7 +152,13 @@ def image_tail_constant(r: float) -> float:
 
 
 def green_image_sum(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 1000) -> GreenEval:
-    """Truncated image sum, symmetric over m = -M..M with paired +/-m terms."""
+    """Truncated image sum, symmetric over m = -M..M with paired +/-m terms.
+
+    The images are summed in blocks of _IMAGE_BLOCK through buffers that each
+    call allocates (never the module: evaluated points are independent), so
+    memory does not grow with M. Each +m term meets its -m partner in an
+    expression symmetric under up <-> -dn, which keeps the sum bitwise even in dt."""
+    M = require_integer("M", M)
     if M < 1:
         raise ValueError("M must be >= 1")
     dx, dy, dt = _offsets(p, q)
@@ -145,23 +166,42 @@ def green_image_sum(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 1000) ->
     if r2 == 0.0 and dt == 0.0:
         raise SingularPointError("image sum evaluated at its singular point")
 
-    m = np.arange(1, M + 1, dtype=float)
-    up = dt - TWO_PI * m
-    dn = dt + TWO_PI * m
-    dup = np.sqrt(r2 + up * up)
-    ddn = np.sqrt(r2 + dn * dn)
-    a_m = 1.0 / (TWO_PI * m)
+    B = min(M, _IMAGE_BLOCK)
+    k = np.arange(1.0, B + 1.0)
+    buffers = np.empty((6, B))
+    pair = cube = moment = 0.0
+    for start in range(0, M, B):
+        a, up, dn, iup, idn, w = buffers[:, :min(B, M - start)]
+        np.add(k[:a.size], start, out=a)
+        a *= TWO_PI
+        np.subtract(dt, a, out=up)  # dt - 2 pi m
+        np.add(dt, a, out=dn)  # dt + 2 pi m
+        for d, inv in ((up, iup), (dn, idn)):  # inv = 1/sqrt(r2 + d^2)
+            np.multiply(d, d, out=inv)
+            inv += r2
+            np.sqrt(inv, out=inv)
+            np.reciprocal(inv, out=inv)
+        np.reciprocal(a, out=a)  # a_m = 1/(2 pi m)
+        np.subtract(iup, a, out=w)
+        np.subtract(idn, a, out=a)
+        w += a
+        pair += float(w.sum())
+        for inv in (iup, idn):  # inv^3
+            np.multiply(inv, inv, out=w)
+            inv *= w
+        np.add(iup, idn, out=w)
+        cube += float(w.sum())
+        up *= iup
+        dn *= idn
+        up += dn
+        moment += float(up.sum())
 
     d0 = math.sqrt(r2 + dt * dt)
-    value = -0.5 * (
-        (1.0 / d0 - A0) + float(np.sum((1.0 / dup - a_m) + (1.0 / ddn - a_m)))
-    )
-    iup3 = dup**-3
-    idn3 = ddn**-3
-    s3 = float(np.sum(iup3 + idn3)) + d0**-3
+    value = -0.5 * ((1.0 / d0 - A0) + pair)
+    s3 = cube + d0**-3
     gx = 0.5 * dx * s3
     gy = 0.5 * dy * s3
-    gt = 0.5 * (float(np.sum(up * iup3 + dn * idn3)) + dt * d0**-3)
+    gt = 0.5 * (moment + dt * d0**-3)
     bound = image_tail_constant(math.sqrt(r2)) / (M * M)
     return GreenEval(value, np.array([gx, gy, gt]), bound, Regime.IMAGE_SUM, terms=M)
 
@@ -188,8 +228,7 @@ def _mode_counts(r: np.ndarray, tol, nu: int) -> np.ndarray:
     r^nu sqrt(pi/2)/tol); two contracting fixed-point steps give x, and the
     integer M is then made exact against the majorant itself."""
     r = np.asarray(r, dtype=float)
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _require_tol(tol)
     if (r <= 0.0).any():
         raise SingularPointError("Fourier-Bessel regime requires r > 0")
     if not np.isfinite(r).all():
@@ -252,6 +291,7 @@ def _fourier_bessel(dx, dy, dt, r, M) -> list[GreenEval]:
 
 def green_fourier_bessel(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 60) -> GreenEval:
     """Log plus Bessel-mode expansion with M modes; requires r = |z - z_q| > 0."""
+    M = require_integer("M", M)
     if M < 0:
         raise ValueError("M must be >= 0")
     dx, dy, dt = _offsets(p, q)
@@ -265,6 +305,7 @@ def green_multipole(p: CirclePoint3, q: CirclePoint3 = ORIGIN, tol: float = 1e-1
     """Legendre-zeta series with the fewest terms K that meet tol; valid for rho < pi/2
     and tol >= _TOL_FLOOR. The gradient uses d_t S_n = n S_{n-1} and R_n = (1/r) d_r S_n,
     (n+1) R_{n+1} = (2n+1) dt R_n - n rho^2 R_{n-1} - 2n S_{n-1}, R_0 = R_1 = 0."""
+    _require_tol(tol)
     dx, dy, dt = _offsets(p, q)
     rho = math.sqrt(dx * dx + dy * dy + dt * dt)
     if not 2.0 * rho**3 >= np.finfo(float).tiny:  # rho = 0, or grad's 1/(2 rho^3) subnormal
@@ -297,8 +338,7 @@ def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
     tol >= _TOL_FLOOR and rho < RHO_SWITCH at any tol (raising below the floor), and
     the image sum the rest: rho >= RHO_SERIES, or tol < _TOL_FLOOR at rho >= RHO_SWITCH.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _require_tol(tol)
     out: list[GreenEval | None] = [None] * len(centers)
     fb = []
     for i, q in enumerate(centers):
@@ -331,4 +371,5 @@ def green_eval(p: CirclePoint3, q: CirclePoint3 = ORIGIN, tol: float = 1e-10) ->
 def evaluate_batch(points: list[CirclePoint3], q: CirclePoint3 = ORIGIN,
                    tol: float = 1e-10) -> list[GreenEval]:
     """Evaluate a list of points; each point is independent (safe to parallelize)."""
+    _require_tol(tol)
     return [green_eval(p, q, tol) for p in points]

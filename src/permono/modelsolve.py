@@ -295,16 +295,6 @@ def omega_laplacian(r):
     return -(w**-3 + w**-1)
 
 
-def weight_identity_check(samples) -> float:
-    """max |(-omega lap omega + |grad omega|^2) - 2| over the samples, from
-    the closed forms; also enforces |grad omega| <= 1."""
-    r = np.asarray(samples, dtype=float)
-    resid = -omega(r) * omega_laplacian(r) + omega_gradient_norm(r) ** 2 - 2.0
-    if np.any(omega_gradient_norm(r) > 1.0):
-        raise AssertionError("|grad omega| exceeded 1")
-    return float(np.abs(resid).max())
-
-
 def poincare_constant(R: float) -> float:
     """The explicit constant sqrt(2 + R^2)/R of the weighted inequality.
 

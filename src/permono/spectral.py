@@ -57,13 +57,6 @@ class WeightSpectrum:
         return out
 
 
-def kuwabara_eigenvalues(m: int, j_max: int) -> list[tuple[int, float, int]]:
-    """[(l, (l(l+2) - m^2)/4, l+1)] for l = |m| + 2j, j = 0..j_max: the
-    spectrum of the charge-m sphere Laplacian, i.e. that of L shifted by -m^2/4."""
-    return [(e.l, e.lam - m * m / 4.0, e.multiplicity)
-            for e in operator_L_spectrum(m, j_max).entries]
-
-
 def operator_L_spectrum(m: int, j_max: int) -> WeightSpectrum:
     """Eigenvalues l(l+2)/4 of L = (sphere Laplacian, Bochner + m^2/4) and the
     exceptional weights gamma_j^+- of the indicial equation g^2 + g = lambda."""

@@ -1,7 +1,10 @@
 """Oracles of the test suite that check ``permono`` by routes of their own:
 Fourier-Bessel sums of G built from scipy's K0/K1, never from the package's
-mode kernel ``green.bessel_modes``, and the closed forms of the flat lifted
-metric g_hat = 2 g_euclid that the Hopf tests compare against."""
+mode kernel ``green.bessel_modes``; the image sum of G over all M images at
+once, the reference of the blocked ``green.green_image_sum``; the closed
+forms of the flat lifted metric g_hat = 2 g_euclid that the Hopf tests
+compare against; and the closed forms of the charge-m sphere spectrum and of
+the weight identity of the model problems."""
 
 import cmath
 import math
@@ -10,7 +13,9 @@ import numpy as np
 from scipy import special
 
 from permono import abelian, green, hopf
+from permono import modelsolve as ms
 from permono.errors import SingularPointError
+from permono.specfn import A0
 
 TWO_PI = 2.0 * math.pi
 N_CIRCLE = 128  # trapezoid nodes on the fiber circle of holonomy_integral
@@ -24,6 +29,49 @@ def green_dt_zero_check(r: float) -> float:
     m = np.arange(1, green.fourier_terms_for(r, 1e-14) + 1)
     mk0 = m * special.k0(m * r)
     return max(abs(float(mk0 @ np.sin(m * t))) / math.pi for t in (0.0, math.pi))
+
+
+def image_sum_unblocked(p: green.CirclePoint3, q: green.CirclePoint3, M: int) -> green.GreenEval:
+    """The paired image sum over m = 1..M from arrays of length M formed at
+    once: the reference of the blocked ``green.green_image_sum``, which must
+    agree up to rounding."""
+    dx, dy, dt = green._offsets(p, q)
+    r2 = dx * dx + dy * dy
+    m = np.arange(1, M + 1, dtype=float)
+    up = dt - TWO_PI * m
+    dn = dt + TWO_PI * m
+    dup = np.sqrt(r2 + up * up)
+    ddn = np.sqrt(r2 + dn * dn)
+    a_m = 1.0 / (TWO_PI * m)
+    d0 = math.sqrt(r2 + dt * dt)
+    value = -0.5 * ((1.0 / d0 - A0) + float(np.sum((1.0 / dup - a_m) + (1.0 / ddn - a_m))))
+    iup3 = dup**-3
+    idn3 = ddn**-3
+    s3 = float(np.sum(iup3 + idn3)) + d0**-3
+    gt = 0.5 * (float(np.sum(up * iup3 + dn * idn3)) + dt * d0**-3)
+    bound = green.image_tail_constant(math.sqrt(r2)) / (M * M)
+    return green.GreenEval(value, np.array([0.5 * dx * s3, 0.5 * dy * s3, gt]), bound,
+                           green.Regime.IMAGE_SUM, terms=M)
+
+
+def kuwabara_eigenvalues(m: int, j_max: int) -> list[tuple[int, float, int]]:
+    """[(l, (l(l+2) - m^2)/4, l+1)] for l = |m| + 2j, j = 0..j_max, in closed
+    form: the spectrum of the charge-m sphere Laplacian (Kuwabara), that of
+    ``spectral.operator_L_spectrum`` shifted by -m^2/4."""
+    if j_max < 0:
+        raise ValueError("j_max must be >= 0")
+    ls = range(abs(m), abs(m) + 2 * j_max + 1, 2)
+    return [(l, (l * (l + 2) - m * m) / 4.0, l + 1) for l in ls]
+
+
+def weight_identity_check(samples) -> float:
+    """max |(-omega lap omega + |grad omega|^2) - 2| over the samples, from
+    the closed forms of ``modelsolve``; also enforces |grad omega| <= 1."""
+    r = np.asarray(samples, dtype=float)
+    resid = -ms.omega(r) * ms.omega_laplacian(r) + ms.omega_gradient_norm(r) ** 2 - 2.0
+    if np.any(ms.omega_gradient_norm(r) > 1.0):
+        raise AssertionError("|grad omega| exceeded 1")
+    return float(np.abs(resid).max())
 
 
 def flux_through_fiber(r: float, dt_nodes: np.ndarray) -> float:

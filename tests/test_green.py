@@ -1,6 +1,7 @@
 """Periodic Green's function: regimes, certified bounds, asymptotic laws."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -53,6 +54,50 @@ def test_image_sum_even_in_t_exactly():
         v1 = green.green_image_sum(CirclePoint3(0.7 + 0.2j, t), ORIGIN, 500)
         v2 = green.green_image_sum(CirclePoint3(0.7 + 0.2j, -t), ORIGIN, 500)
         assert v1.value == pytest.approx(v2.value, abs=5e-16)
+
+
+#: points of the shell rho >= RHO_SERIES inside r <= R_SWITCH, where the image
+#: sum runs; the seam dt = +-pi is drawn on its own
+shell = st.builds(
+    CirclePoint3,
+    st.builds(lambda r, a: r * np.exp(1j * a), st.floats(0.0, 0.5), st.floats(0.0, TWO_PI)),
+    st.one_of(st.floats(green.RHO_SERIES, math.pi), st.floats(-math.pi, -green.RHO_SERIES),
+              st.sampled_from([math.pi, -math.pi])))
+BLOCK = green._IMAGE_BLOCK
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=shell, M=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]))
+def test_blocked_image_sum_matches_unblocked(p, M):
+    # the blocked sum against all M images at once: the same terms, so
+    # rounding alone separates them; one, several and a partial last block
+    g = green.green_image_sum(p, ORIGIN, M)
+    ref = oracles.image_sum_unblocked(p, ORIGIN, M)
+    assert g.regime is ref.regime and g.terms == ref.terms == M
+    assert g.trunc_bound == ref.trunc_bound
+    assert abs(g.value - ref.value) <= 1e-15 * (1.0 + abs(ref.value))
+    assert np.all(np.abs(g.grad - ref.grad) <= 1e-15 * (1.0 + np.abs(ref.grad)))
+
+
+def test_image_sum_memory_is_independent_of_m():
+    # a million images through block buffers; the unblocked sum peaked at 80 MB
+    p = CirclePoint3(0.3 + 0.1j, 2.0)
+    green.green_image_sum(p, ORIGIN, 10)
+    tracemalloc.start()
+    try:
+        green.green_image_sum(p, ORIGIN, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("series", [green.green_image_sum, green.green_fourier_bessel])
+@pytest.mark.parametrize("M", [2.5, 3.0, "3", None])
+def test_series_lengths_must_be_integers(series, M):
+    # 2.5 image pairs once summed 3 and reported terms=2.5; FB raised numpy errors
+    with pytest.raises(ValueError, match="M must be an integer"):
+        series(CirclePoint3(1.0, 0.5), ORIGIN, M)
 
 
 def test_image_sum_rotation_invariance():
@@ -303,6 +348,17 @@ def test_dispatcher_errors():
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             green.green_eval(CirclePoint3(1.0, 0.0), ORIGIN, tol=bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: green.green_multipole(CirclePoint3(0.05, 0.0), ORIGIN, tol),
+    lambda tol: green.evaluate_batch([], ORIGIN, tol),
+])
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10])
+def test_bad_tolerances_fail_at_the_boundary(call, tol):
+    # the series took tol = inf as K = 0 and an empty batch accepted nan
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        call(tol)
 
 
 def test_dispatcher_meets_tolerance_across_space():
