@@ -132,7 +132,6 @@ def _single_periodic(m: AbelianMonopole) -> DiracTerm:
 
 #: Truncation tolerance of the grid fields: the rounding level of O(1) fields.
 _GRID_TOL = 1e-15
-_N_WINDING = 720  # holonomy samples on the circle of winding_number
 
 
 def connection_radial_gauge(m: AbelianMonopole, p: CirclePoint3,
@@ -187,40 +186,38 @@ def translated_asymptotics(m: AbelianMonopole, p: CirclePoint3) -> FieldSample:
     return FieldSample(h, a_theta, a_t, "exterior")
 
 
-def _holonomy_phase(m: AbelianMonopole, z: np.ndarray) -> np.ndarray:
-    """2 pi b + sum_j k_j theta_j(z) over the periodic terms, elementwise in z."""
-    if not np.isfinite(z).all():
-        raise ValueError("holonomy needs a finite z")
-    phase = np.full(z.shape, TWO_PI * m.b)
-    for term in m.terms:
-        if term.kind is not Kind.PERIODIC:
-            continue
-        dz = z - term.center.z
-        if np.any(dz == 0):
-            raise SingularPointError("holonomy undefined through a singular center")
-        phase += term.charge * np.arctan2(dz.imag, dz.real)
-    return phase
-
-
 def holonomy(m: AbelianMonopole, z: complex) -> complex:
     """Holonomy of the connection around the fiber {z} x S^1:
     exp(-i sum_j k_j theta_j(z) - 2 pi i b), theta_j the principal angle of
     z - z_j. Euclidean terms carry no fiber holonomy."""
-    return cmath.exp(-1j * float(_holonomy_phase(m, np.array(complex(z)))))
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError("holonomy needs a finite z")
+    phase = TWO_PI * m.b
+    for term in _periodic_terms(m):
+        dz = z - term.center.z
+        if dz == 0:
+            raise SingularPointError("holonomy undefined through a singular center")
+        phase += term.charge * math.atan2(dz.imag, dz.real)
+    return cmath.exp(-1j * phase)
 
 
 def winding_number(m: AbelianMonopole, radius: float) -> int:
-    """Integer winding of arg(holonomy) as z runs once around a circle that
-    encloses every periodic center; equals minus the total periodic charge."""
+    """Integer winding of arg(holonomy) as z runs once counterclockwise around
+    the circle |z| = radius. By the argument principle theta_j(z) turns once
+    exactly when z_j lies inside, so the winding is -sum k_j over the periodic
+    centers with |z_j| < radius: minus the total periodic charge once the
+    circle encloses every center. A center on the circle (|z_j| == radius in
+    floating point) raises SingularPointError."""
     if not 0.0 < radius < math.inf:
         raise ValueError(f"winding radius must be finite and > 0, got {radius}")
-    angles = np.linspace(0.0, TWO_PI, _N_WINDING + 1)
-    arg = np.unwrap(-_holonomy_phase(m, radius * np.exp(1j * angles)))
-    turns = (arg[-1] - arg[0]) / TWO_PI
-    w = round(turns)
-    if abs(turns - w) > 1e-9:
-        raise ArithmeticError(f"winding failed to quantize: {turns}")
-    return int(w)
+    inside = 0
+    for term in _periodic_terms(m):
+        d = abs(term.center.z)
+        if d == radius:
+            raise SingularPointError("winding circle passes through a singular center")
+        inside += int(term.charge) if d < radius else 0
+    return -inside
 
 
 class RescaledPair:

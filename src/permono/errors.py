@@ -36,10 +36,17 @@ class ResolutionTooLowError(RuntimeError):
     """Discretized spectrum has not converged at the requested resolution."""
 
 
-def require_integer(name: str, value) -> int:
-    """value as an int (by ``operator.index``, so 2.0 and 0.5 both fail);
-    a ValueError naming `name` if it is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+def require_integer(name: str, value, least: int | None = None) -> int:
+    """value as an int (by ``operator.index``, so 2.0 and 0.5 both fail, and
+    a bool is refused too); a ValueError naming `name` if it is not an
+    integer or is below `least`."""
+    if not isinstance(value, bool):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if least is None or n >= least:
+                return n
+    bound = "" if least is None else f" >= {least}"
+    raise ValueError(f"{name} must be an integer{bound}, got {value!r}")

@@ -158,9 +158,7 @@ def green_image_sum(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 1000) ->
     call allocates (never the module: evaluated points are independent), so
     memory does not grow with M. Each +m term meets its -m partner in an
     expression symmetric under up <-> -dn, which keeps the sum bitwise even in dt."""
-    M = require_integer("M", M)
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    M = require_integer("M", M, least=1)
     dx, dy, dt = _offsets(p, q)
     r2 = dx * dx + dy * dy
     if r2 == 0.0 and dt == 0.0:
@@ -291,9 +289,7 @@ def _fourier_bessel(dx, dy, dt, r, M) -> list[GreenEval]:
 
 def green_fourier_bessel(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 60) -> GreenEval:
     """Log plus Bessel-mode expansion with M modes; requires r = |z - z_q| > 0."""
-    M = require_integer("M", M)
-    if M < 0:
-        raise ValueError("M must be >= 0")
+    M = require_integer("M", M, least=0)
     dx, dy, dt = _offsets(p, q)
     r = math.hypot(dx, dy)
     if r == 0.0:

@@ -22,9 +22,12 @@ connections are handled through their real u(1) coefficient 1-form w, with
 curvature dw; the weight-k circle action of the singular gauge acts on the
 off-diagonal part by the phase e^{i k theta_1} (chart z1 != 0).
 
-A ``Quat4Point`` may hold arrays of points. The Gibbons-Hawking data and the
-Dirac lift work elementwise, components first, so ``curvature_richardson``
-gets its 16 stencil forms from one ``form_fn`` call. Charges are integers.
+A 1-form is a plain array of its Cartesian components (dx1..dx4), of shape
+(4, *shape) at a ``Quat4Point`` holding an array of points: it evaluates on a
+tangent vector v as w @ v, and ``lifted_norm_sq`` is its g_hat norm at every
+point. The Gibbons-Hawking data and the Dirac lift work elementwise, so
+``curvature_richardson`` gets its 16 stencil forms from one ``form_fn`` call.
+Charges are integers.
 """
 
 from __future__ import annotations
@@ -67,22 +70,10 @@ class Quat4Point:
         return Quat4Point(x[0] + 1j * x[1], x[2] + 1j * x[3])
 
 
-@dataclass
-class LiftedForm:
-    """A 1-form on R^4 at a base point, in the Cartesian frame (dx1..dx4),
-    of shape (4, *shape) at an array of points; norm_sq and pair take one."""
-
-    components: np.ndarray
-    base: Quat4Point
-
-    @property
-    def norm_sq(self) -> float:
-        """Squared norm in the lifted metric g_hat = 2 g_euclid."""
-        return 0.5 * float(np.dot(self.components, self.components))
-
-    def pair(self, v: np.ndarray) -> float:
-        """Evaluate on a tangent vector."""
-        return float(np.dot(self.components, v))
+def lifted_norm_sq(w: np.ndarray):
+    """Squared norm of the 1-form w, shape (4, *shape), in the lifted metric
+    g_hat = 2 g_euclid, at each of its points."""
+    return 0.5 * np.einsum("i...,i...->...", w, w)
 
 
 def hopf_project(p: Quat4Point) -> np.ndarray:
@@ -119,23 +110,23 @@ def gh_potential(p: Quat4Point) -> float:
     return 0.5 / rho
 
 
-def gibbons_hawking_connection(p: Quat4Point) -> LiftedForm:
+def gibbons_hawking_connection(p: Quat4Point) -> np.ndarray:
     """theta0 = Im(conj(z1) dz1 - conj(z2) dz2)/rho; theta0(fiber) = 1 and
     d theta0 = pi^*(*dh) with h = 1/(2 rho)."""
-    return LiftedForm(2.0 * gh_potential(p) * fiber_tangent(p), p)
+    return 2.0 * gh_potential(p) * fiber_tangent(p)
 
 
-def lift_form(a, psi: float, p: Quat4Point) -> LiftedForm:
+def lift_form(a, psi: float, p: Quat4Point) -> np.ndarray:
     """Lift of a pair (1-form a on R^3, scalar psi):
-    pi^* a - (psi/h) theta0, with |lift|^2 = h^{-1}(|a|^2 + psi^2) exactly."""
+    pi^* a - (psi/h) theta0, with |lift|^2 = h^{-1}(|a|^2 + psi^2) exactly;
+    at an array of points, the lift of the same pair at each."""
     a = np.asarray(a, dtype=float)
     if a.shape != (3,):
         raise ValueError("a must be a 3-component base covector")
     if not math.isfinite(psi):
         raise ValueError(f"psi must be finite, got {psi}")
-    h = gh_potential(p)
-    comps = projection_jacobian(p).T @ a - (psi / h) * gibbons_hawking_connection(p).components
-    return LiftedForm(comps, p)
+    pullback = np.tensordot(a, projection_jacobian(p), axes=(0, 0))
+    return pullback - (psi / gh_potential(p)) * gibbons_hawking_connection(p)
 
 
 def _chart(p: Quat4Point, chart: str) -> str:
@@ -154,19 +145,16 @@ def _chart(p: Quat4Point, chart: str) -> str:
     return chart
 
 
-def _dtheta1(p: Quat4Point) -> np.ndarray:
-    x1, x2, x3, x4 = p.as_array()
-    zero = np.zeros_like(x1)
-    return np.array([-x2, x1, zero, zero]) / (x1 * x1 + x2 * x2)
+def _dtheta(p: Quat4Point, chart: str) -> np.ndarray:
+    """d theta1 = d arg z1 on chart '+', d theta2 = d arg z2 on chart '-'."""
+    x = p.as_array()
+    a, b = (0, 1) if chart == "+" else (2, 3)
+    out = np.zeros_like(x)
+    out[a], out[b] = -x[b], x[a]
+    return out / (x[a] * x[a] + x[b] * x[b])
 
 
-def _dtheta2(p: Quat4Point) -> np.ndarray:
-    x1, x2, x3, x4 = p.as_array()
-    zero = np.zeros_like(x3)
-    return np.array([zero, zero, -x4, x3]) / (x3 * x3 + x4 * x4)
-
-
-def lift_dirac_connection(k: int, mass: float, p: Quat4Point, chart: str) -> LiftedForm:
+def lift_dirac_connection(k: int, mass: float, p: Quat4Point, chart: str) -> np.ndarray:
     """u(1) coefficient of the lifted charge-k, mass `mass` Dirac monopole:
 
         w = k dtheta1 - 2 mass rho theta0 (chart '+'),   -k dtheta2 - 2 mass rho theta0 (chart '-'),
@@ -185,12 +173,12 @@ def lift_dirac_connection(k: int, mass: float, p: Quat4Point, chart: str) -> Lif
     per-point choice switches gauge where |z1| = |z2| crosses the stencil.
     """
     k = require_integer("charge k", k)
-    if chart not in ("+", "-"):
-        raise ValueError(f"chart must be '+' or '-', got {chart!r}")
+    if chart == "auto":
+        raise ValueError("chart must be '+' or '-', got 'auto'")
     if not math.isfinite(mass):
         raise ValueError(f"mass must be finite, got {mass}")
-    charge = k * _dtheta1(p) if _chart(p, chart) == "+" else -k * _dtheta2(p)
-    return LiftedForm(charge - 2.0 * mass * fiber_tangent(p), p)
+    sign = 1 if _chart(p, chart) == "+" else -1
+    return sign * k * _dtheta(p, chart) - 2.0 * mass * fiber_tangent(p)
 
 
 def singular_gauge_phase(k: int, p: Quat4Point, chart: str = "auto") -> complex:
@@ -219,7 +207,7 @@ def _stencil_curvatures(form_fn, p: Quat4Point, h: float, fractions) -> np.ndarr
         raise ValueError(f"step h must be finite and > 0, got {h}")
     steps = h * np.asarray(fractions)
     pts = p.as_array()[:, None, None, None] + _SIGNED_UNIT[:, None] * steps[:, None, None]
-    w = form_fn(Quat4Point.from_array(pts)).components  # w[nu, s, sign, mu]
+    w = form_fn(Quat4Point.from_array(pts))  # w[nu, s, sign, mu]
     grad = (w[:, :, 0] - w[:, :, 1]) / (2.0 * steps[:, None])  # grad[nu, s, mu] = d_mu w_nu
     return (grad[_NU, :, _MU] - grad[_MU, :, _NU]).T
 

@@ -36,6 +36,7 @@ from .errors import (
     ExceptionalWeightError,
     UnderResolvedError,
     WeightRangeError,
+    require_integer,
 )
 
 _EXCEPTIONAL_GUARD = 1e-9
@@ -382,9 +383,8 @@ def poincare_constant_check(R: float, delta: float, trials: int,
     if not (math.isfinite(delta) and delta != 0.0):
         raise WeightRangeError(f"delta must be finite and nonzero, got {delta}")
     scale = poincare_constant(R) / abs(delta)
-    for name, value, least in (("trials", trials, 1), ("n_grid", n_grid, 3)):
-        if not isinstance(value, (int, np.integer)) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    trials = require_integer("trials", trials, least=1)
+    n_grid = require_integer("n_grid", n_grid, least=3)
     rng = np.random.default_rng(seed)
     span = _POINCARE_LOG_SPAN
     s = np.linspace(0.0, span, n_grid)

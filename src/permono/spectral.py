@@ -18,7 +18,9 @@ asserted directly with no normalization factor. The modes n and -n-|m| are
 mirror images under phi -> pi - phi (the m_q <-> -m_q symmetry of monopole
 harmonics, Wu & Yang 1976), so the oracle solves one of each pair.
 
-Charges, j_max, l_cut and n_phi must be integers (``require_integer``).
+Charges, the j_max of ``operator_L_spectrum``, l_cut and n_phi must be
+integers, bools refused (``require_integer``). ``is_exceptional`` has no
+j_max: it answers for any finite weight on the whole ladder of roots.
 """
 
 from __future__ import annotations
@@ -60,9 +62,7 @@ class WeightSpectrum:
 def operator_L_spectrum(m: int, j_max: int) -> WeightSpectrum:
     """Eigenvalues l(l+2)/4 of L = (sphere Laplacian, Bochner + m^2/4) and the
     exceptional weights gamma_j^+- of the indicial equation g^2 + g = lambda."""
-    m, j_max = require_integer("m", m), require_integer("j_max", j_max)
-    if j_max < 0:
-        raise ValueError("j_max must be >= 0")
+    m, j_max = require_integer("m", m), require_integer("j_max", j_max, least=0)
     entries = []
     for j in range(j_max + 1):
         l = abs(m) + 2 * j
@@ -78,34 +78,31 @@ class ExceptionalQuery:
     distance: float
 
 
-def is_exceptional(delta: float, m: int, j_max: int = 64,
-                   tol: float = 1e-12) -> ExceptionalQuery:
-    """Whether delta coincides (within tol) with an indicial root gamma_j^+-.
-
-    j_max must index far enough that |delta| < gamma^+_{j_max}; otherwise a
-    root beyond the window could be nearer. Of equally near roots the one with
-    the smaller j is reported, gamma^+ before gamma^-, as in the order of
-    ``operator_L_spectrum(m, j_max).weights()``.
+def is_exceptional(delta: float, m: int, *, tol: float = 1e-12) -> ExceptionalQuery:
+    """Whether delta coincides (within tol) with an indicial root gamma_j^+-,
+    j >= 0: the nearest root, rounded to a float, and its distance, rounded
+    once. Of equally near roots the one with the smaller j is reported,
+    gamma^+ before gamma^-, as in the order of ``WeightSpectrum.weights``.
     """
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    m, j_max = require_integer("m", m), require_integer("j_max", j_max)
-    if j_max < 0:
-        raise ValueError("j_max must be >= 0")
-    a = abs(m) / 2.0
-    top = a + j_max
-    if abs(delta) >= top:
-        raise ValueError(f"j_max={j_max} too small: |delta|={abs(delta)} >= {top}")
-    # gamma_j^+ = a + j and gamma_j^- = -(a + 1) - j: on each branch the nearest
-    # is the rounded index (a tie to the smaller j), clamped to 0..j_max. A tie
-    # across the branches can only be at j = 0, where gamma^+ comes first.
-    plus = a + min(max(math.ceil(delta - a - 0.5), 0), j_max)
-    minus = -(a + 1.0) - min(max(math.ceil(-(a + 1.0) - delta - 0.5), 0), j_max)
-    nearest = plus if abs(plus - delta) <= abs(minus - delta) else minus
-    dist = abs(nearest - delta)
-    return ExceptionalQuery(dist <= tol, nearest, dist)
+    # in integers, exactly: delta = p/q with q a power of 2, and the doubled
+    # roots are 2 gamma_j^+ = n + 2j and 2 gamma_j^- = -(n + 2) - 2j, n = |m|
+    # (past |delta| = 2**52 no float holds a half-integer root)
+    p, q = float(delta).as_integer_ratio()
+    n = abs(require_integer("m", m))
+    # on each branch the nearest is the rounded index (a tie to the smaller
+    # j), at least 0: j = ceil(delta - gamma_0^+ - 1/2), ceil(gamma_0^- - delta - 1/2)
+    plus = n + 2 * max(-((q * (n + 1) - 2 * p) // (2 * q)), 0)
+    minus = -(n + 2) - 2 * max(-((q * (n + 3) + 2 * p) // (2 * q)), 0)
+    # 2q |gamma - delta|; a tie across the branches can only be at j = 0,
+    # where gamma^+ comes first
+    err_plus, err_minus = abs(plus * q - 2 * p), abs(minus * q - 2 * p)
+    twice, err = (plus, err_plus) if err_plus <= err_minus else (minus, err_minus)
+    dist = err / (2 * q)  # int / int rounds once, correctly
+    return ExceptionalQuery(dist <= tol, twice / 2, dist)
 
 
 @dataclass
@@ -156,9 +153,7 @@ def sphere_laplacian_oracle(m: int, l_cut: int, n_phi: int = 600) -> OracleSpect
     the self-mirror mode n = -|m|/2 (|m| even) counts once.
     """
     m, l_cut = require_integer("m", m), require_integer("l_cut", l_cut)
-    n_phi = require_integer("n_phi", n_phi)
-    if n_phi < 2:
-        raise ValueError(f"n_phi must be >= 2, got {n_phi}")
+    n_phi = require_integer("n_phi", n_phi, least=2)
     if l_cut > 8:
         raise ValueError("oracle is a desk-scale instrument: l_cut <= 8")
     ma = abs(m)

@@ -27,7 +27,7 @@ def unit_monopole(v=0.0, b=0.0, charge=1, center=ORIGIN):
 def test_term_validation():
     with pytest.raises(ValueError):
         DiracTerm(ORIGIN, 0)
-    for charge in (0.5, math.nan, 1.0):
+    for charge in (0.5, math.nan, 1.0, True):
         with pytest.raises(ValueError, match="integer"):
             DiracTerm(ORIGIN, charge)
     assert abelian.winding_number(AbelianMonopole([DiracTerm(ORIGIN, np.int64(2))]), 3.0) == -2
@@ -438,6 +438,25 @@ def test_winding_rejects_circle_through_center():
     for radius in (math.nan, math.inf, 0.0, -3.0):
         with pytest.raises(ValueError, match="finite and > 0"):
             abelian.winding_number(m, radius)
+
+
+@pytest.mark.parametrize("center, expect", [
+    # inside, between the arc and a chord of a 720-gon around the origin
+    (1.99999 * cmath.exp(1j * math.pi / 720), -1),
+    # outside by 1e-9, and inside by one ulp
+    (2.0 + 1e-9, 0),
+    (float(np.nextafter(2.0, 0.0)), -1),
+    (-2.0 - 1e-7j, 0),
+])
+def test_winding_near_the_circle_counts_enclosed_charge(center, expect):
+    m = unit_monopole(center=CirclePoint3(center, 0.0))
+    assert abelian.winding_number(m, 2.0) == expect
+
+
+def test_winding_counts_only_enclosed_centers():
+    m = AbelianMonopole([DiracTerm(CirclePoint3(0.5j, 1.0), 2), DiracTerm(CirclePoint3(4.0, 0.0), -1),
+                         DiracTerm(CirclePoint3(-1.0, 0.0), 1, Kind.EUCLIDEAN)])
+    assert [abelian.winding_number(m, r) for r in (0.4, 1.0, 5.0)] == [0, -2, -1]
 
 
 def test_translated_asymptotics_reduces_at_centered():

@@ -93,7 +93,7 @@ def test_image_sum_memory_is_independent_of_m():
 
 
 @pytest.mark.parametrize("series", [green.green_image_sum, green.green_fourier_bessel])
-@pytest.mark.parametrize("M", [2.5, 3.0, "3", None])
+@pytest.mark.parametrize("M", [2.5, 3.0, "3", None, True])
 def test_series_lengths_must_be_integers(series, M):
     # 2.5 image pairs once summed 3 and reported terms=2.5; FB raised numpy errors
     with pytest.raises(ValueError, match="M must be an integer"):

@@ -57,14 +57,14 @@ def test_projection_jacobian_algebra():
 def test_theta0_fiber_normalization_and_invariance():
     for p in rand_points(5, seed=8):
         th = hopf.gibbons_hawking_connection(p)
-        assert th.pair(hopf.fiber_tangent(p)) == pytest.approx(1.0, abs=1e-12)
+        assert th @ hopf.fiber_tangent(p) == pytest.approx(1.0, abs=1e-12)
         # S^1-invariance: pull back along the action
         for s in (0.4, 2.0):
             q = hopf.circle_act(p, s)
             thq = hopf.gibbons_hawking_connection(q)
             R = oracles.circle_pushforward(s)
             v = np.array([0.3, -0.2, 0.5, 0.1])
-            assert thq.pair(R @ v) == pytest.approx(th.pair(v), abs=1e-12)
+            assert thq @ (R @ v) == pytest.approx(th @ v, abs=1e-12)
     with pytest.raises(OutOfRegimeError):
         hopf.gibbons_hawking_connection(Quat4Point(0, 0))
 
@@ -88,17 +88,17 @@ def test_metric_correspondence():
         th = hopf.gibbons_hawking_connection(p)
         J = hopf.projection_jacobian(p)
         u, v = rng.normal(size=4), rng.normal(size=4)
-        gh = h * float(np.dot(J @ u, J @ v)) + (1.0 / h) * th.pair(u) * th.pair(v)
+        gh = h * float(np.dot(J @ u, J @ v)) + (1.0 / h) * (th @ u) * (th @ v)
         assert gh == pytest.approx(oracles.lifted_metric(u, v), abs=1e-10 * (1 + abs(gh)))
 
 
 def test_lift_form_norm_identity_examples():
     p_half = Quat4Point(math.sqrt(0.5), 0.0)  # rho = 1/2
-    assert hopf.lift_form([1.0, 0.0, 0.0], 0.0, p_half).norm_sq == pytest.approx(1.0, abs=1e-14)
+    assert hopf.lifted_norm_sq(hopf.lift_form([1.0, 0.0, 0.0], 0.0, p_half)) == pytest.approx(1.0, abs=1e-14)
     p_two = Quat4Point(1.0, 1.0)  # rho = 2
-    assert hopf.lift_form([0.0, 0.0, 0.0], 1.0, p_two).norm_sq == pytest.approx(4.0, abs=1e-13)
+    assert hopf.lifted_norm_sq(hopf.lift_form([0.0, 0.0, 0.0], 1.0, p_two)) == pytest.approx(4.0, abs=1e-13)
     z = hopf.lift_form([0.0, 0.0, 0.0], 0.0, p_two)
-    assert np.all(z.components == 0.0) and z.norm_sq == 0.0
+    assert np.all(z == 0.0) and hopf.lifted_norm_sq(z) == 0.0
 
 
 def test_lift_form_norm_identity_random():
@@ -107,7 +107,7 @@ def test_lift_form_norm_identity_random():
     for p in rand_points(100, seed=22, lo=0.05, hi=1.5):
         a = rng.normal(size=3)
         psi = rng.normal()
-        lhs = hopf.lift_form(a, psi, p).norm_sq
+        lhs = hopf.lifted_norm_sq(hopf.lift_form(a, psi, p))
         rhs = (float(np.dot(a, a)) + psi * psi) / hopf.gh_potential(p)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     assert worst <= 1e-12
@@ -118,12 +118,12 @@ def test_singular_gauge_flatness_mass_zero():
     for p in rand_points(6, seed=30):
         for k in (1, 2):
             w = hopf.lift_dirac_connection(k, 0.0, p, chart="+")
-            assert np.abs(w.components - k * hopf._dtheta1(p)).max() <= 1e-12
+            assert np.abs(w - k * hopf._dtheta(p, "+")).max() <= 1e-12
             wm = hopf.lift_dirac_connection(k, 0.0, p, chart="-")
-            assert np.abs(wm.components + k * hopf._dtheta2(p)).max() <= 1e-12
+            assert np.abs(wm + k * hopf._dtheta(p, "-")).max() <= 1e-12
             # chart transition is k (dtheta1 + dtheta2)
-            trans = w.components - wm.components
-            assert np.abs(trans - k * (hopf._dtheta1(p) + hopf._dtheta2(p))).max() <= 1e-12
+            trans = w - wm
+            assert np.abs(trans - k * (hopf._dtheta(p, "+") + hopf._dtheta(p, "-"))).max() <= 1e-12
 
 
 def test_flatness_residual_second_order():
@@ -180,8 +180,8 @@ def test_lift_matches_lift_form_of_dirac_pair():
         for chart, sign in (("+", 1.0), ("-", -1.0)):
             f = 0.5 * k * (sign - X[0] / rho) / (X[1] ** 2 + X[2] ** 2)
             a = np.array([0.0, -f * X[2], f * X[1]])  # f (X2 dX3 - X3 dX2)
-            want = hopf.lift_form(a, mass - k / (2.0 * rho), p).components
-            got = hopf.lift_dirac_connection(k, mass, p, chart).components
+            want = hopf.lift_form(a, mass - k / (2.0 * rho), p)
+            got = hopf.lift_dirac_connection(k, mass, p, chart)
             worst = max(worst, np.abs(got - want).max() / max(1.0, np.abs(want).max()))
     assert worst <= 1e-12
 
@@ -196,7 +196,7 @@ def test_equivariance_of_lift_and_gauge_weight():
             v = np.array([0.2, 0.1, -0.4, 0.3])
             wp = hopf.lift_dirac_connection(1, 1.0, p, chart="+")
             wq = hopf.lift_dirac_connection(1, 1.0, q, chart="+")
-            assert wq.pair(R @ v) == pytest.approx(wp.pair(v), abs=1e-12)
+            assert wq @ (R @ v) == pytest.approx(wp @ v, abs=1e-12)
             for k in (1, 3):
                 gp = hopf.singular_gauge_phase(k, p, chart="+")
                 gq = hopf.singular_gauge_phase(k, q, chart="+")
@@ -248,6 +248,7 @@ def test_curvature_across_equal_moduli(mass):
     lambda p: hopf.lift_dirac_connection(1.5, 1.0, p, "+"),
     lambda p: hopf.lift_dirac_connection(np.nan, 1.0, p, "+"),
     lambda p: hopf.singular_gauge_phase(0.5, p),
+    lambda p: hopf.lift_dirac_connection(True, 1.0, p, "+"),
 ])
 def test_charges_must_be_integers(call):
     with pytest.raises(ValueError, match="charge k must be an integer"):
@@ -267,12 +268,29 @@ def test_quat_point_holds_arrays_of_one_shape():
     for i in range(2):
         q = Quat4Point(z1[i], z2[i])
         assert np.array_equal(hopf.fiber_tangent(p)[:, i], hopf.fiber_tangent(q))
-        assert np.array_equal(hopf.lift_dirac_connection(2, 0.5, p, "+").components[:, i],
-                              hopf.lift_dirac_connection(2, 0.5, q, "+").components)
+        assert np.array_equal(hopf.lift_dirac_connection(2, 0.5, p, "+")[:, i],
+                              hopf.lift_dirac_connection(2, 0.5, q, "+"))
     with pytest.raises(ValueError, match="one shape"):
         Quat4Point(z1, z2[:1])
     with pytest.raises(OutOfRegimeError):
         hopf.lift_dirac_connection(1, 0.0, Quat4Point(z1, np.array([0.2, 0.0])), "-")
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3)])
+def test_forms_of_point_array_are_pointwise(shape):
+    # at 4 points a transposed (point, component) array still broadcasts
+    pts = rand_points(math.prod(shape), seed=80)
+    p = Quat4Point(np.array([q.z1 for q in pts]).reshape(shape),
+                   np.array([q.z2 for q in pts]).reshape(shape))
+    a, psi = np.array([0.3, -0.2, 0.5]), 0.7
+    th, lift = hopf.gibbons_hawking_connection(p), hopf.lift_form(a, psi, p)
+    assert th.shape == lift.shape == (4, *shape)
+    # equal to rounding: numpy's complex abs and Python's may differ in the last bit
+    for i, q in enumerate(pts):
+        assert np.abs(th.reshape(4, -1)[:, i] - hopf.gibbons_hawking_connection(q)).max() <= 1e-15
+        assert np.abs(lift.reshape(4, -1)[:, i] - hopf.lift_form(a, psi, q)).max() <= 1e-14
+    # theta0 is dual to the fiber, whose g_hat length squared is 1/h
+    assert np.abs(hopf.lifted_norm_sq(th) - hopf.gh_potential(p)).max() <= 1e-14
 
 
 def per_point_richardson(form_fn, p, h):
@@ -284,8 +302,8 @@ def per_point_richardson(form_fn, p, h):
         for mu in range(4):
             e = np.zeros(4)
             e[mu] = step
-            wp = form_fn(Quat4Point(complex(*(x + e)[:2]), complex(*(x + e)[2:]))).components
-            wm = form_fn(Quat4Point(complex(*(x - e)[:2]), complex(*(x - e)[2:]))).components
+            wp = form_fn(Quat4Point(complex(*(x + e)[:2]), complex(*(x + e)[2:])))
+            wm = form_fn(Quat4Point(complex(*(x - e)[:2]), complex(*(x - e)[2:])))
             grad[mu] = (wp - wm) / (2.0 * step)
         return np.array([grad[mu, nu] - grad[nu, mu] for mu, nu in hopf._PAIRS])
 

@@ -251,10 +251,10 @@ def test_poincare_ratio_bounded_with_power():
     for R in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="R must be positive and finite"):
             ms.poincare_constant_check(R, 0.3, 2)
-    for trials in (0, -1, 2.0, None):
+    for trials in (0, -1, 2.0, None, True):
         with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             ms.poincare_constant_check(1.0, 0.3, trials)
-    for n_grid in (2, 0, -5, 101.0):
+    for n_grid in (2, 0, -5, 101.0, True):
         with pytest.raises(ValueError, match="n_grid must be an integer >= 3"):
             ms.poincare_constant_check(1.0, 0.3, 2, n_grid=n_grid)
     assert ms.poincare_constant_check(1.0, 0.3, np.int64(1), n_grid=3).n_trials == 1

@@ -1,8 +1,10 @@
 """Indicial spectrum: closed forms, root identities, discretized oracle."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -49,10 +51,18 @@ def test_is_exceptional():
     assert q.is_exceptional and q.nearest == 1.0  # gamma^+ at j = 0
     for delta in np.linspace(-1.5 + 1e-6, 0.5 - 1e-6, 41):
         assert not spectral.is_exceptional(float(delta), 1).is_exceptional
-    with pytest.raises(ValueError):
-        spectral.is_exceptional(40.0, 1, j_max=4)
-    with pytest.raises(ValueError, match="j_max must be >= 0"):
-        spectral.is_exceptional(0.0, 1, j_max=-1)
+    # no window bounds the ladder: 70 = gamma^+_70 (m = 0)
+    assert spectral.is_exceptional(70.0, 0) == spectral.ExceptionalQuery(True, 70.0, 0.0)
+    q = spectral.is_exceptional(-1e6 - 0.25, 3)
+    assert not q.is_exceptional and q.nearest == -1e6 - 0.5  # gamma^-_{999998}
+    # past 2**52 every float is an integer: a root for even m, and half-way
+    # between two roots for odd m
+    for delta in (2.0**53, -2.0**53 - 2.0, 1e300):
+        assert spectral.is_exceptional(delta, 2) == spectral.ExceptionalQuery(True, delta, 0.0)
+        q = spectral.is_exceptional(delta, 1)
+        assert not q.is_exceptional and q.distance == 0.5
+    with pytest.raises(TypeError):
+        spectral.is_exceptional(0.0, 1, 64)  # no j_max is taken as tol
     for delta in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             spectral.is_exceptional(delta, 0)
@@ -63,32 +73,37 @@ def test_is_exceptional():
 
 
 def _scan_exceptional(delta, m, j_max, tol=1e-12):
-    """The nearest root by a scan of every weight, first of equals winning."""
+    """The nearest root by a scan of every weight, first of equals winning,
+    on exact distances: rounded ones can tie where the exact ones do not."""
+    d = Fraction(delta)
     ws = spectral.operator_L_spectrum(m, j_max).weights()
-    nearest = min(ws, key=lambda w: abs(w - delta))
-    dist = abs(nearest - delta)
+    nearest = min(ws, key=lambda w: abs(Fraction(w) - d))
+    dist = float(abs(Fraction(nearest) - d))
     return spectral.ExceptionalQuery(dist <= tol, nearest, dist)
 
 
 @st.composite
 def _weight_queries(draw):
     m = draw(st.integers(-8, 8))
-    j_max = draw(st.integers(1, 70))
-    top = abs(m) / 2.0 + j_max
+    # roots low on the ladder and far up it, to j ~ 300
+    top = draw(st.sampled_from([4.0, 80.0, 300.0]))
     # quarter-integer points, and their neighbouring floats, hit the ties
     # between neighbouring roots
-    quarter = draw(st.integers(-int(4 * top) + 1, int(4 * top) - 1)) / 4.0
-    delta = draw(st.floats(-top, top, exclude_min=True, exclude_max=True)
+    quarter = draw(st.integers(-int(4 * top), int(4 * top))) / 4.0
+    delta = draw(st.floats(-top, top)
                  | st.sampled_from([quarter, float(np.nextafter(quarter, -top)),
                                     float(np.nextafter(quarter, top))]))
-    return delta, m, j_max
+    return delta, m
 
 
 @settings(max_examples=400, deadline=None)
 @given(q=_weight_queries(), tol=st.sampled_from([0.0, 1e-12, 0.3]))
+@example(q=(-0.5000000000000001, 2), tol=0.0)  # gamma_0^- is nearer, by 2e-16
 def test_is_exceptional_matches_weight_scan(q, tol):
-    delta, m, j_max = q
-    assert spectral.is_exceptional(delta, m, j_max, tol) == _scan_exceptional(delta, m, j_max, tol)
+    delta, m = q
+    # a root nearest to delta has j <= |delta| + 1 on either branch
+    j_max = int(abs(delta)) + 2
+    assert spectral.is_exceptional(delta, m, tol=tol) == _scan_exceptional(delta, m, j_max, tol)
 
 
 def test_interval_free_of_weights():
@@ -162,9 +177,10 @@ def test_oracle_small_n_phi_is_under_resolved(n_phi):
     (lambda: spectral.operator_L_spectrum(1, 1.5), "j_max"),
     (lambda: spectral.operator_L_spectrum(0.5, 1), "m"),
     (lambda: spectral.is_exceptional(0.3, 0.5), "m"),
-    (lambda: spectral.is_exceptional(0.3, 1, j_max=4.0), "j_max"),
+    (lambda: spectral.operator_L_spectrum(1, True), "j_max"),
     (lambda: spectral.sphere_laplacian_oracle(0.5, 4.5), "m"),
     (lambda: spectral.sphere_laplacian_oracle(0, 4.0), "l_cut"),
+    (lambda: spectral.is_exceptional(0.3, True), "m"),
 ])
 def test_charges_and_counts_must_be_integers(call, name):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
