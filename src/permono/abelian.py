@@ -49,6 +49,8 @@ class DiracTerm:
         require_integer("Dirac charge", self.charge)
         if self.charge == 0:
             raise ValueError("Dirac term must carry nonzero charge")
+        if not isinstance(self.kind, Kind):
+            raise ValueError(f"Dirac term kind must be a Kind, got {self.kind!r}")
 
 
 @dataclass
@@ -85,7 +87,6 @@ class FieldSample:
     higgs: float
     a_theta: float
     a_t: float
-    gauge_chart: str = "exterior"
 
 
 def _periodic_terms(m: AbelianMonopole) -> list[DiracTerm]:
@@ -159,7 +160,7 @@ def connection_radial_gauge(m: AbelianMonopole, p: CirclePoint3,
     mdt = np.arange(1, M + 1) * dt
     higgs_value = m.v + k * (math.log(r) / TWO_PI - float(k0 @ np.cos(mdt)) / math.pi)
     a_theta = k * (0.5 - dt / TWO_PI - r * float(k1 @ np.sin(mdt)) / math.pi)
-    return FieldSample(higgs_value, a_theta, m.b, "exterior")
+    return FieldSample(higgs_value, a_theta, m.b)
 
 
 def translated_asymptotics(m: AbelianMonopole, p: CirclePoint3) -> FieldSample:
@@ -170,7 +171,10 @@ def translated_asymptotics(m: AbelianMonopole, p: CirclePoint3) -> FieldSample:
     a_theta = k (-t/(2 pi) + (t0 + pi)/(2 pi))
     a_t     = b - k Im(z0/z) / (2 pi)
 
-    The model is closed-form; the dropped remainder is O(r^-2).
+    With w = z0/z and r' = |z - z0|, the Higgs model is off by at most
+    |k| (|w|^2/(4 pi (1 - |w|)) + Kmaj0(r')/(pi (1 - e^{-r'}))): the log tail
+    -sum_{n>=2} Re(w^n)/n over 2 pi, plus the term's whole Fourier-Bessel sum
+    (Kmaj0 = ``green.k_majorant`` of K0, summed by ``green._tail_prefactor``).
     """
     term = _single_periodic(m)
     z0 = term.center.z
@@ -183,7 +187,7 @@ def translated_asymptotics(m: AbelianMonopole, p: CirclePoint3) -> FieldSample:
     h = m.v + k * (math.log(r) - w.real) / TWO_PI
     a_theta = k * (-reduce_angle_signed(p.t) / TWO_PI + (t0 + math.pi) / TWO_PI)
     a_t = m.b - k * w.imag / TWO_PI
-    return FieldSample(h, a_theta, a_t, "exterior")
+    return FieldSample(h, a_theta, a_t)
 
 
 def holonomy(m: AbelianMonopole, z: complex) -> complex:
@@ -241,7 +245,8 @@ def rescale(m: AbelianMonopole, lam: float) -> RescaledPair:
 
 def euclidean_limit_profile(r: float, t: float) -> float:
     """Unit-mass Euclidean Dirac profile 1 - 1/(2 sqrt(r^2 + t^2)): the
-    pointwise limit of the rescaled periodic monopole as v -> infinity.
+    pointwise limit of the rescaled periodic monopole as v -> infinity. It
+    carries no certified bound: no closed-form rate of that limit is derived.
 
     Raises ValueError unless r and t are finite, and SingularPointError at
     (0, 0)."""

@@ -22,12 +22,14 @@ connections are handled through their real u(1) coefficient 1-form w, with
 curvature dw; the weight-k circle action of the singular gauge acts on the
 off-diagonal part by the phase e^{i k theta_1} (chart z1 != 0).
 
-A 1-form is a plain array of its Cartesian components (dx1..dx4), of shape
-(4, *shape) at a ``Quat4Point`` holding an array of points: it evaluates on a
-tangent vector v as w @ v, and ``lifted_norm_sq`` is its g_hat norm at every
-point. The Gibbons-Hawking data and the Dirac lift work elementwise, so
-``curvature_richardson`` gets its 16 stencil forms from one ``form_fn`` call.
-Charges are integers.
+A point is held one way only: ``Quat4Point(z1, z2)``, z1 = x1 + i x2 and
+z2 = x3 + i x4 complex scalars, or complex arrays of one shape for an array
+of points, at which every function of a point but the curvature stencils
+works elementwise. A 1-form is a plain array of its components (dx1..dx4),
+of shape (4, *shape) at an array point: it evaluates on a tangent vector v
+as w @ v, and ``lifted_norm_sq`` is its g_hat norm at every point. So
+``curvature_richardson`` steps z1 and z2 by complex offsets and gets its 16
+stencil forms from one ``form_fn`` call. Charges are integers.
 """
 
 from __future__ import annotations
@@ -57,17 +59,9 @@ class Quat4Point:
         self.z1, self.z2 = (complex(z1), complex(z2)) if z1.ndim == 0 else (z1, z2)
 
     @property
-    def rho(self) -> float:
-        """|pi(p)| = |z1|^2 + |z2|^2, the base distance to the origin."""
+    def rho(self) -> float | np.ndarray:
+        """|pi(p)| = |z1|^2 + |z2|^2, the base distance to the origin, per point."""
         return abs(self.z1) ** 2 + abs(self.z2) ** 2
-
-    def as_array(self) -> np.ndarray:
-        """Real coordinates (x1, x2, x3, x4), shape (4, *shape)."""
-        return np.array([self.z1.real, self.z1.imag, self.z2.real, self.z2.imag])
-
-    @staticmethod
-    def from_array(x) -> "Quat4Point":
-        return Quat4Point(x[0] + 1j * x[1], x[2] + 1j * x[3])
 
 
 def lifted_norm_sq(w: np.ndarray):
@@ -84,7 +78,7 @@ def hopf_project(p: Quat4Point) -> np.ndarray:
 
 def projection_jacobian(p: Quat4Point) -> np.ndarray:
     """3x4 Jacobian of hopf_project; J J^T = 4 rho I_3 and J (fiber) = 0."""
-    x1, x2, x3, x4 = p.as_array()
+    x1, x2, x3, x4 = p.z1.real, p.z1.imag, p.z2.real, p.z2.imag
     return 2.0 * np.array([
         [x1, x2, -x3, -x4],
         [x3, -x4, x1, -x2],
@@ -94,16 +88,15 @@ def projection_jacobian(p: Quat4Point) -> np.ndarray:
 
 def fiber_tangent(p: Quat4Point) -> np.ndarray:
     """Generator (i z1, -i z2) of the circle action."""
-    x1, x2, x3, x4 = p.as_array()
-    return np.array([-x2, x1, x4, -x3])
+    return np.array([-p.z1.imag, p.z1.real, p.z2.imag, -p.z2.real])
 
 
 def circle_act(p: Quat4Point, s: float) -> Quat4Point:
     return Quat4Point(p.z1 * np.exp(1j * s), p.z2 * np.exp(-1j * s))
 
 
-def gh_potential(p: Quat4Point) -> float:
-    """h = 1/(2 rho)."""
+def gh_potential(p: Quat4Point) -> float | np.ndarray:
+    """h = 1/(2 rho): a float, or an array of the points' shape."""
     rho = p.rho
     if np.any(rho == 0.0):
         raise OutOfRegimeError("Gibbons-Hawking data undefined at the origin")
@@ -129,29 +122,29 @@ def lift_form(a, psi: float, p: Quat4Point) -> np.ndarray:
     return pullback - (psi / gh_potential(p)) * gibbons_hawking_connection(p)
 
 
-def _chart(p: Quat4Point, chart: str) -> str:
-    """The chart, checked at every point of p; 'auto' takes one point."""
+def _chart(p: Quat4Point, chart: str) -> bool | np.ndarray:
+    """Whether each point of p takes chart '+' (a bool, or a bool array),
+    checked at every point; 'auto' takes '+' where |z1| >= |z2|."""
     if chart not in ("+", "-", "auto"):
         raise ValueError(f"chart must be '+', '-' or 'auto', got {chart!r}")
     near1, near2 = np.abs(p.z1) < _AXIS_EPS, np.abs(p.z2) < _AXIS_EPS
     if (near1 & near2).any():
         raise OutOfRegimeError("point too close to the origin of the 4-ball")
     if chart == "auto":
-        chart = "+" if abs(p.z1) >= abs(p.z2) else "-"
+        return np.abs(p.z1) >= np.abs(p.z2)
     if chart == "+" and near1.any():
         raise OutOfRegimeError("chart '+' is singular on the z1 = 0 axis")
     if chart == "-" and near2.any():
         raise OutOfRegimeError("chart '-' is singular on the z2 = 0 axis")
-    return chart
+    return chart == "+"
 
 
 def _dtheta(p: Quat4Point, chart: str) -> np.ndarray:
     """d theta1 = d arg z1 on chart '+', d theta2 = d arg z2 on chart '-'."""
-    x = p.as_array()
-    a, b = (0, 1) if chart == "+" else (2, 3)
-    out = np.zeros_like(x)
-    out[a], out[b] = -x[b], x[a]
-    return out / (x[a] * x[a] + x[b] * x[b])
+    z, a = (p.z1, 0) if chart == "+" else (p.z2, 2)
+    out = np.zeros((4, *np.shape(z)))
+    out[a], out[a + 1] = -z.imag, z.real
+    return out / (z.real * z.real + z.imag * z.imag)
 
 
 def lift_dirac_connection(k: int, mass: float, p: Quat4Point, chart: str) -> np.ndarray:
@@ -177,46 +170,46 @@ def lift_dirac_connection(k: int, mass: float, p: Quat4Point, chart: str) -> np.
         raise ValueError("chart must be '+' or '-', got 'auto'")
     if not math.isfinite(mass):
         raise ValueError(f"mass must be finite, got {mass}")
-    sign = 1 if _chart(p, chart) == "+" else -1
+    sign = 1 if _chart(p, chart) else -1
     return sign * k * _dtheta(p, chart) - 2.0 * mass * fiber_tangent(p)
 
 
-def singular_gauge_phase(k: int, p: Quat4Point, chart: str = "auto") -> complex:
+def singular_gauge_phase(k: int, p: Quat4Point, chart: str = "auto") -> complex | np.ndarray:
     """Unit phase of the singular gauge transformation on the off-diagonal
-    line: e^{i k theta1} on chart '+', e^{-i k theta2} on chart '-'."""
+    line: e^{i k theta1} on chart '+', e^{-i k theta2} on chart '-'; a
+    complex, or a complex array of the points' shape. A phase is never
+    differenced, so 'auto' chooses the chart at each point."""
     k = require_integer("charge k", k)
-    chart = _chart(p, chart)
-    if chart == "+":
-        th = math.atan2(p.z1.imag, p.z1.real)
-        return complex(math.cos(k * th), math.sin(k * th))
-    th = math.atan2(p.z2.imag, p.z2.real)
-    return complex(math.cos(k * th), -math.sin(k * th))
+    th = k * np.angle(np.where(_chart(p, chart), p.z1, np.conj(p.z2)))
+    return np.cos(th) + 1j * np.sin(th)
 
 
 _PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _MU, _NU = np.array(_PAIRS).T
-# _SIGNED_UNIT[coordinate, sign, mu] = +-delta(coordinate, mu): the directions p +- e_mu
-_SIGNED_UNIT = np.multiply.outer(np.eye(4), [1.0, -1.0]).transpose(0, 2, 1)
+# the unit steps e_mu of x1..x4 as offsets of z1 and of z2
+_UNIT1, _UNIT2 = np.array([1.0, 1j, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 1j])
 
 
 def _stencil_curvatures(form_fn, p: Quat4Point, h: float, fractions) -> np.ndarray:
     """Central-difference curvatures F_{mu nu} = d_mu w_nu - d_nu w_mu of a
     1-form field at each step h * fraction, shape (len(fractions), 6), from
     one form_fn call on all 8 len(fractions) stencil points p +- step e_mu."""
+    if np.ndim(p.z1):
+        raise ValueError(f"the curvature stencil takes one point, got an array of shape {np.shape(p.z1)}")
     if not 0.0 < h < math.inf:
         raise ValueError(f"step h must be finite and > 0, got {h}")
     steps = h * np.asarray(fractions)
-    pts = p.as_array()[:, None, None, None] + _SIGNED_UNIT[:, None] * steps[:, None, None]
-    w = form_fn(Quat4Point.from_array(pts))  # w[nu, s, sign, mu]
+    d = np.multiply.outer(steps, [1.0, -1.0])[:, :, None]  # d[s, sign, 0]
+    w = form_fn(Quat4Point(p.z1 + d * _UNIT1, p.z2 + d * _UNIT2))  # w[nu, s, sign, mu]
     grad = (w[:, :, 0] - w[:, :, 1]) / (2.0 * steps[:, None])  # grad[nu, s, mu] = d_mu w_nu
     return (grad[_NU, :, _MU] - grad[_MU, :, _NU]).T
 
 
 def curvature_fd(form_fn, p: Quat4Point, h: float) -> np.ndarray:
     """Central-difference curvature F_{mu nu} = d_mu w_nu - d_nu w_mu of a
-    1-form field; returns the 6 components ordered (12, 13, 14, 23, 24, 34).
-    form_fn takes a Quat4Point array of stencil points and returns their
-    forms at once, as ``lift_dirac_connection`` does."""
+    1-form field at one point p, ordered (12, 13, 14, 23, 24, 34). form_fn
+    takes a Quat4Point array of stencil points and returns their forms at
+    once, as ``lift_dirac_connection`` does; an array p raises ValueError."""
     return _stencil_curvatures(form_fn, p, h, [1.0])[0]
 
 

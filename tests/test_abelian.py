@@ -40,6 +40,13 @@ def test_term_validation():
         abelian.higgs(unit_monopole(), CirclePoint3(3.0, 0.0), math.inf)
 
 
+@pytest.mark.parametrize("kind", ["Periodic", "Euclidean", None, 0])
+def test_term_kind_must_be_a_kind(kind):
+    # a string kind once matched neither Kind, so the term silently dropped out
+    with pytest.raises(ValueError, match="must be a Kind"):
+        DiracTerm(CirclePoint3(0.5, 0.0), 1, kind)
+
+
 def test_higgs_vacuum_everywhere():
     m = abelian.vacuum(2.5, 0.7)
     for p in (CirclePoint3(1.0, 0.0), CirclePoint3(-3.0 + 2.0j, 4.0)):
@@ -476,6 +483,27 @@ def test_translated_asymptotics_accuracy():
         exact = abelian.higgs(m, p, tol=1e-13)
         model = abelian.translated_asymptotics(m, p).higgs
         assert abs(exact - model) <= 5.0 / 20.0**2
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.0, 3.0), scale=st.floats(1.01, 8.0),
+       angles=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+       t0=st.floats(0.0, 6.28), t=st.floats(-math.pi, math.pi),
+       k=st.sampled_from([-3, -2, -1, 1, 2, 3]), v=st.floats(-2.0, 2.0))
+def test_translated_asymptotics_higgs_remainder_bound(a, scale, angles, t0, t, k, v):
+    # |model - higgs| <= |k| (|w|^2/(4 pi (1 - |w|)) + Kmaj0(r')/(pi (1 - e^{-r'}))),
+    # w = z0/z, r' = |z - z0|: the log tail past Re w and the whole Bessel sum
+    z0 = a * cmath.exp(1j * angles[0])
+    z = max(2.0 * a, 1.0) * scale * cmath.exp(1j * angles[1])
+    m = AbelianMonopole([DiracTerm(CirclePoint3(z0, t0), k)], v=v, b=0.3)
+    p = CirclePoint3(z, t)
+    model = abelian.translated_asymptotics(m, p).higgs
+    exact = abelian.higgs(m, p, 1e-14)
+    w, rp = abs(z0 / z), abs(z - z0)
+    kmaj0 = math.sqrt(math.pi / (2.0 * rp)) * math.exp(-rp)
+    bound = abs(k) * (w * w / (4.0 * math.pi * (1.0 - w)) + kmaj0 / (math.pi * -math.expm1(-rp)))
+    rounding = 1e-14 * (1.0 + abs(v) + abs(k) * (1.0 + abs(math.log(abs(z)))))
+    assert abs(model - exact) <= bound + rounding
 
 
 def test_translated_asymptotics_dipole_antisymmetry():

@@ -264,7 +264,7 @@ def test_lift_form_rejects_non_finite_psi(psi):
 def test_quat_point_holds_arrays_of_one_shape():
     z1, z2 = np.array([0.5 + 0.1j, -0.3j]), np.array([0.2, 0.7 + 0.7j])
     p = Quat4Point(z1, z2)
-    assert p.as_array().shape == (4, 2)
+    assert np.array([p.z1.real, p.z1.imag, p.z2.real, p.z2.imag]).shape == (4, 2)
     for i in range(2):
         q = Quat4Point(z1[i], z2[i])
         assert np.array_equal(hopf.fiber_tangent(p)[:, i], hopf.fiber_tangent(q))
@@ -293,9 +293,49 @@ def test_forms_of_point_array_are_pointwise(shape):
     assert np.abs(hopf.lifted_norm_sq(th) - hopf.gh_potential(p)).max() <= 1e-14
 
 
+@settings(max_examples=60, deadline=None)
+@given(mods=st.lists(st.tuples(st.floats(0.25, 1.2), st.floats(0.25, 1.2)), min_size=6, max_size=6),
+       angs=st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+                     min_size=6, max_size=6),
+       k=st.integers(-3, 3))
+def test_point_functions_at_an_array_point_are_pointwise(mods, angs, k):
+    z1 = np.array([m[0] * np.exp(1j * a[0]) for m, a in zip(mods, angs)])
+    z2 = np.array([m[1] * np.exp(1j * a[1]) for m, a in zip(mods, angs)])
+    p = Quat4Point(z1.reshape(2, 3), z2.reshape(2, 3))
+    at = {
+        "hopf_project": hopf.hopf_project,
+        "fiber_tangent": hopf.fiber_tangent,
+        "projection_jacobian": hopf.projection_jacobian,
+        "gh_potential": hopf.gh_potential,
+        **{f"phase {c}": lambda q, c=c: hopf.singular_gauge_phase(k, q, c) for c in ("+", "-", "auto")},
+    }
+    for name, fn in at.items():
+        got = np.asarray(fn(p))
+        for i, j in np.ndindex(2, 3):
+            want = fn(Quat4Point(complex(z1[3 * i + j]), complex(z2[3 * i + j])))
+            # equal to rounding: numpy's complex abs and Python's may differ in the last bit
+            assert np.abs(got[..., i, j] - want).max() <= 1e-15 * max(1.0, np.abs(want).max()), name
+    # 'auto' takes chart '+' exactly where |z1| >= |z2|, point by point
+    plus = np.abs(p.z1) >= np.abs(p.z2)
+    assert np.array_equal(hopf.singular_gauge_phase(k, p, "auto"),
+                          np.where(plus, hopf.singular_gauge_phase(k, p, "+"), hopf.singular_gauge_phase(k, p, "-")))
+
+
+@pytest.mark.parametrize("shape", [(2,), (4,), (2, 3)])
+@pytest.mark.parametrize("curvature", [hopf.curvature_fd, hopf.curvature_richardson])
+def test_curvature_takes_one_point(curvature, shape):
+    # an array of 4 points would broadcast against the 4 stencil directions
+    pts = rand_points(math.prod(shape), seed=90)
+    p = Quat4Point(np.array([q.z1 for q in pts]).reshape(shape),
+                   np.array([q.z2 for q in pts]).reshape(shape))
+    with pytest.raises(ValueError, match="one point"):
+        curvature(lambda q: hopf.lift_dirac_connection(1, 1.0, q, "+"), p, 1e-2)
+
+
 def per_point_richardson(form_fn, p, h):
-    """The Richardson curvature with one scalar form_fn call per stencil point."""
-    x = p.as_array()
+    """The Richardson curvature with one scalar form_fn call per stencil point,
+    stepped in the real coordinates x1..x4."""
+    x = np.array([p.z1.real, p.z1.imag, p.z2.real, p.z2.imag])
 
     def fd(step):
         grad = np.zeros((4, 4))  # grad[mu, nu] = d_mu w_nu
