@@ -244,9 +244,14 @@ def rescale(m: AbelianMonopole, lam: float) -> RescaledPair:
 
 
 def euclidean_limit_profile(r: float, t: float) -> float:
-    """Unit-mass Euclidean Dirac profile 1 - 1/(2 sqrt(r^2 + t^2)): the
-    pointwise limit of the rescaled periodic monopole as v -> infinity. It
-    carries no certified bound: no closed-form rate of that limit is derived.
+    """Unit-mass Euclidean Dirac profile 1 - 1/(2 rho), rho = sqrt(r^2 + t^2):
+    the pointwise limit of the rescaled periodic monopole as v -> infinity.
+
+    For a unit charge at the origin, lam = v + a0/2 and rho < pi lam,
+    |rescale(m, lam).higgs(z, t) - profile| <= zeta(3)/(2 pi lam) x/(1 - x),
+    x = (rho/(2 pi lam))^2: the rescaled field is the profile minus
+    (1/lam) sum_{j>=1} zeta(2j+1) (rho/lam)^2j P_2j(t/rho)/(2 pi)^(2j+1), G's
+    regular part scaled, and |P_2j| <= 1, zeta(2j+1) <= zeta(3).
 
     Raises ValueError unless r and t are finite, and SingularPointError at
     (0, 0)."""

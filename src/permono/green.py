@@ -11,7 +11,8 @@ G has three regimes; ``green_eval_many`` takes each where stated (rho = |p - q|)
   x^(K+1)/(1 - x), x = (rho/2 pi)^2; K = 0 gives a0/2 - 1/(2 rho) within 0.00517 rho^2.
 * ``ImageSum``     -- the rest, rho >= pi/2 or tol < _TOL_FLOOR at rho >= RHO_SWITCH:
   the regularized sum over circle images, valid everywhere; pairing the +/-m images
-  bounds its tail by a 2nd-order Taylor remainder C(r)/M^2, C(r) = (1/(3 pi) + r^2/pi^3)/4.
+  bounds its tail by C(r, dt)/M^2, C(r, dt) = max(2 dt^2, r^2)/(32 pi^3), sharp to
+  leading order.
   The M image pairs are summed in blocks of _IMAGE_BLOCK, so its memory is
   O(_IMAGE_BLOCK) at any M and only its time grows with M.
 
@@ -140,15 +141,24 @@ def _offsets(p: CirclePoint3, q: CirclePoint3) -> tuple[float, float, float]:
     return dz.real, dz.imag, reduce_angle_signed(p.t - q.t)
 
 
-def image_tail_constant(r: float) -> float:
-    """C(r) with tail(M) <= C(r)/M^2 for the paired image sum.
+def image_tail_constant(r: float, dt: float) -> float:
+    """C(r, dt) = max(2 dt^2, r^2)/(32 pi^3), with tail(M) <= C(r, dt)/M^2 for
+    the paired image sum at every M >= 1; r >= 0 and |dt| <= pi.
 
-    For m > M pair the +/-m images; with s = 2 pi m and |u| <= pi,
-    |pair - 1/(pi m)| <= 2u^2/(s(s^2-u^2)) + (r^2/2)(1/(s-u)^3 + 1/(s+u)^3)
-                      <= (1/(3 pi) + r^2/pi^3) / m^3,
-    and sum_{m>M} m^-3 <= 1/(2 M^2); the series carries an overall 1/2.
+    For m > M pair the +/-m images: with s = 2 pi m, a = s - dt and b = s + dt,
+    both at least 2 pi (m - 1/2), the pair minus 1/(pi m) is
+    t_m = 1/sqrt(a^2 + r^2) + 1/sqrt(b^2 + r^2) - 2/s. As
+    1/x - r^2/(2 x^3) <= 1/sqrt(x^2 + r^2) <= 1/x, t_m lies in [P_m - Q_m, P_m], with
+    P_m = 1/a + 1/b - 2/s = 2 dt^2/(s a b) <= dt^2/(4 pi^3 (m - 1/2)^3),
+    Q_m = (r^2/2)(a^-3 + b^-3)          <= r^2/(8 pi^3 (m - 1/2)^3).
+    (m - 1/2)^-3 is convex, so sum_{m>M} (m - 1/2)^-3 <= int_{M+1/2}^inf (x - 1/2)^-3
+    = 1/(2 M^2). The series carries an overall 1/2, so
+    |tail| = |sum_{m>M} t_m|/2 <= max(sum P_m, sum Q_m)/2 <= C(r, dt)/M^2.
+    t_m = (2 dt^2 - r^2)/s^3 to leading order, so the bound is sharp at r = 0 or dt = 0.
     """
-    return (1.0 / (3.0 * math.pi) + r * r / math.pi**3) / 4.0
+    if not (0.0 <= r < math.inf and abs(dt) <= math.pi):
+        raise ValueError(f"image tail needs finite r >= 0 and |dt| <= pi, got r={r}, dt={dt}")
+    return max(2.0 * dt * dt, r * r) / (32.0 * math.pi**3)
 
 
 def green_image_sum(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 1000) -> GreenEval:
@@ -163,6 +173,7 @@ def green_image_sum(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 1000) ->
     r2 = dx * dx + dy * dy
     if r2 == 0.0 and dt == 0.0:
         raise SingularPointError("image sum evaluated at its singular point")
+    bound = image_tail_constant(math.sqrt(r2), dt) / (M * M)
 
     B = min(M, _IMAGE_BLOCK)
     k = np.arange(1.0, B + 1.0)
@@ -200,7 +211,6 @@ def green_image_sum(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 1000) ->
     gx = 0.5 * dx * s3
     gy = 0.5 * dy * s3
     gt = 0.5 * (moment + dt * d0**-3)
-    bound = image_tail_constant(math.sqrt(r2)) / (M * M)
     return GreenEval(value, np.array([gx, gy, gt]), bound, Regime.IMAGE_SUM, terms=M)
 
 
@@ -346,7 +356,7 @@ def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
         elif rho < RHO_SWITCH or (rho < RHO_SERIES and tol >= _TOL_FLOOR):
             out[i] = green_multipole(p, q, tol)  # raises SingularPointError at the pole
         else:
-            M = math.ceil(math.sqrt(image_tail_constant(r) / tol))
+            M = math.ceil(math.sqrt(image_tail_constant(r, dt) / tol))
             if M > _MAX_IMAGE_TERMS:
                 raise ToleranceUnreachableError(f"tol={tol} needs {M} image terms")
             out[i] = green_image_sum(p, q, max(M, 1))

@@ -338,6 +338,7 @@ def _smooth_window(s, s1, s2, w_up, w_dn, out):
 #: |delta| (the ratio saturates like |delta| log(extent) before leveling off
 #: near the sharp constant).
 _POINCARE_LOG_SPAN = 160.0
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 def _trial_ratio(u: np.ndarray, mass: np.ndarray, stiff: np.ndarray, ds: float,
@@ -376,17 +377,27 @@ def poincare_constant_check(R: float, delta: float, trials: int,
     s < 3.8, so it is evaluated on the grid prefix that ends two zero nodes
     past it; the windows use the whole grid.
 
+    Floating point bounds |delta|. With L = log omega(R e^span), the weights
+    and the squares of the near-extremal trials grow to e^(2 |delta| L) at the
+    far end, and the squared derivatives to (1 + |delta|)^2 times that. As
+    log(1 + |delta|) <= |delta|, all stay finite while
+    |delta| <= log(DBL_MAX)/(2 (L + 1)), about 2.2 at R = 1.
+
     Raises ValueError unless trials is an integer >= 1, n_grid an integer >= 3
-    and R finite and > 0, and WeightRangeError unless delta is finite and
-    nonzero.
+    and R finite and > 0, and WeightRangeError unless delta is finite, nonzero
+    and within that bound.
     """
     if not (math.isfinite(delta) and delta != 0.0):
         raise WeightRangeError(f"delta must be finite and nonzero, got {delta}")
     scale = poincare_constant(R) / abs(delta)
+    span = _POINCARE_LOG_SPAN
+    delta_max = _LOG_DBL_MAX / (2.0 * (math.log(math.hypot(1.0, R * math.exp(span))) + 1.0))
+    if not abs(delta) <= delta_max:
+        raise WeightRangeError(
+            f"|delta| must be <= {delta_max:.6g} at R={R}, or the weights overflow; got {delta}")
     trials = require_integer("trials", trials, least=1)
     n_grid = require_integer("n_grid", n_grid, least=3)
     rng = np.random.default_rng(seed)
-    span = _POINCARE_LOG_SPAN
     s = np.linspace(0.0, span, n_grid)
     ds = span / (n_grid - 1)
     # every fresh full-grid array costs page faults, so the weights are built in

@@ -1,7 +1,8 @@
 """Oracles of the test suite that check ``permono`` by routes of their own:
 Fourier-Bessel sums of G built from scipy's K0/K1, never from the package's
 mode kernel ``green.bessel_modes``; the image sum of G over all M images at
-once, the reference of the blocked ``green.green_image_sum``; the closed
+once, the reference of the blocked ``green.green_image_sum``, and the exact
+tail of that sum in mpmath, the reference of its bound; the closed
 forms of the flat lifted metric g_hat = 2 g_euclid that the Hopf tests
 compare against; and the closed forms of the charge-m sphere spectrum and of
 the weight identity of the model problems."""
@@ -9,6 +10,7 @@ the weight identity of the model problems."""
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy import special
 
@@ -49,9 +51,31 @@ def image_sum_unblocked(p: green.CirclePoint3, q: green.CirclePoint3, M: int) ->
     idn3 = ddn**-3
     s3 = float(np.sum(iup3 + idn3)) + d0**-3
     gt = 0.5 * (float(np.sum(up * iup3 + dn * idn3)) + dt * d0**-3)
-    bound = green.image_tail_constant(math.sqrt(r2)) / (M * M)
+    bound = green.image_tail_constant(math.sqrt(r2), dt) / (M * M)
     return green.GreenEval(value, np.array([0.5 * dx * s3, 0.5 * dy * s3, gt]), bound,
                            green.Regime.IMAGE_SUM, terms=M)
+
+
+def image_sum_tail(r: float, dt: float, M: int) -> float:
+    """|G - image sum over m <= M| at the offset (r, dt), 0 < rho < 2 pi (M+1),
+    in mpmath: the Legendre generating function (DLMF 18.12.11) expands each
+    image pair of s = 2 pi m > rho as 2 sum_{n even} rho^n P_n(mu)/s^(n+1),
+    mu = dt/rho, and sum_{m>M} s^-(n+1) = zeta(n+1, M+1)/(2 pi)^(n+1), so the
+    tail is |sum_{k>=1} rho^2k P_2k(mu) zeta(2k+1, M+1)/(2 pi)^(2k+1)|. As
+    |P_n| <= 1 and zeta(2k+1, M+1) <= (M+1)^(2-2k) zeta(3, M+1), the k-th term
+    is at most x^(k-1), x = (rho/(2 pi (M+1)))^2, times the first one's
+    majorant, and the sum stops once x^(k-1) < 1e-25."""
+    with mp.workdps(30):
+        rho = mp.sqrt(mp.mpf(r) ** 2 + mp.mpf(dt) ** 2)
+        mu, x = mp.mpf(dt) / rho, (rho / (2 * mp.pi * (M + 1))) ** 2
+        if not 0 < x < 1:
+            raise ValueError(f"needs 0 < rho < 2 pi (M + 1), got rho={rho}")
+        total, k = mp.mpf(0), 1
+        while x**(k - 1) >= 1e-25:
+            total += (rho**(2 * k) * mp.legendre(2 * k, mu) * mp.zeta(2 * k + 1, M + 1)
+                      / (2 * mp.pi) ** (2 * k + 1))
+            k += 1
+        return float(abs(total))
 
 
 def kuwabara_eigenvalues(m: int, j_max: int) -> list[tuple[int, float, int]]:

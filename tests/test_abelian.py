@@ -18,6 +18,7 @@ from permono.errors import OutOfRegimeError, SingularPointError
 from permono.green import ORIGIN, CirclePoint3
 
 TWO_PI = 2.0 * math.pi
+EPS = float(np.finfo(float).eps)
 
 
 def unit_monopole(v=0.0, b=0.0, charge=1, center=ORIGIN):
@@ -556,6 +557,26 @@ def test_rescale_doubling_mass_halves_discrepancy():
         return abs(abelian.rescale(unit_monopole(v=v), v).higgs(complex(r), t) - lim)
 
     assert dev(100.0) / dev(200.0) == pytest.approx(2.0, abs=0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=st.floats(2.0, 1000.0),
+       s=st.floats(-6.0, math.log10(0.9 * math.pi)).map(lambda e: 10.0**e),
+       polar=st.floats(0.0, 0.5 * math.pi), az=st.floats(0.0, TWO_PI))
+def test_euclidean_limit_profile_rate(v, s, polar, az):
+    # zeta(3)/(2 pi lam) x/(1 - x) at rho = s lam; t >= 0 only, because a
+    # negative t near the pole is stored as 2 pi - |t| and misses its bound
+    # by far more than this rate (the stored-angle defect of the near-pole G)
+    lam = v + 0.5 * green.A0
+    r, t = s * lam * math.sin(polar), s * lam * math.cos(polar)
+    tol = 1e-12
+    dev = abs(abelian.rescale(unit_monopole(v=v), lam).higgs(r * cmath.exp(1j * az), t, tol)
+              - abelian.euclidean_limit_profile(r, t))
+    rho = math.hypot(r, t)
+    x = (rho / (TWO_PI * lam)) ** 2
+    bound = special.zeta(3.0) / (TWO_PI * lam) * x / (1.0 - x)
+    slack = tol / lam + 8.0 * EPS * (0.5 / rho + 1.0 + v / lam)
+    assert dev <= bound + slack
 
 
 def test_bogomolny_vacuum_zero():

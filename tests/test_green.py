@@ -121,6 +121,23 @@ def test_image_sum_tail_bound_is_sound():
         assert abs(g4.value - g8.value) <= g4.trunc_bound
 
 
+@settings(max_examples=60, deadline=None)
+@given(r=st.floats(0.0, 4.0), dt=st.floats(-math.pi, math.pi),
+       M=st.one_of(st.integers(1, 3), st.integers(1, 10**4)))
+def test_image_tail_constant_bounds_the_exact_tail(r, dt, M):
+    # max(2 dt^2, r^2)/(32 pi^3 M^2) against the exact tail, at every M >= 1
+    assume(r > 0.0 or dt != 0.0)
+    assert oracles.image_sum_tail(r, dt, M) <= green.image_tail_constant(r, dt) / (M * M)
+
+
+@pytest.mark.parametrize("r, dt", [(math.nan, 1.0), (math.inf, 1.0), (-0.1, 1.0),
+                                   (1.0, math.nan), (1.0, 3.2), (1.0, -3.2)])
+def test_image_tail_constant_rejects_bad_offsets(r, dt):
+    # image_tail_constant(nan) used to return nan
+    with pytest.raises(ValueError, match="image tail"):
+        green.image_tail_constant(r, dt)
+
+
 def test_cross_regime_agreement_and_gradients():
     p = CirclePoint3(1.0, 0.5)
     gi = green.green_image_sum(p, ORIGIN, 200000)
@@ -266,7 +283,7 @@ def test_legendre_zeta_bound_is_minimal_and_sound(p, tol):
     if g.terms > 0:
         assert lz_tail(x, g.terms - 1) > tol  # K - 1 terms miss tol
     oracle = green.green_image_sum(
-        p, ORIGIN, math.ceil(math.sqrt(green.image_tail_constant(math.hypot(dx, dy)) / 1e-12)))
+        p, ORIGIN, math.ceil(math.sqrt(green.image_tail_constant(math.hypot(dx, dy), dt) / 1e-12)))
     rounding = 8.0 * EPS * (0.5 / rho + 1.0)
     assert abs(g.value - oracle.value) <= g.trunc_bound + oracle.trunc_bound + rounding
 
@@ -551,9 +568,25 @@ image_tol = st.floats(-9.0, -6.0).map(lambda e: 10.0**e)
 def seam_slack(g, tol):
     """The truncated image sum is centred on the reduced offset dt in
     (-pi, pi], so its t-gradient jumps across the seam dt = pi by
-    1/(4 pi^2 M^2) to leading order, just below its value bound
-    C(r)/M^2 <= tol; the Fourier-Bessel series is periodic term by term."""
+    1/(4 pi^2 M^2) to leading order; M is sized by C(r, pi)/M^2 <= tol with
+    C(r, pi) = 1/(16 pi) for r <= 4, so the jump is (4/pi) tol to leading
+    order. The Fourier-Bessel series is periodic term by term."""
     return 2.0 * tol if g.regime is Regime.IMAGE_SUM else 0.0
+
+
+@pytest.mark.parametrize("r", [0.02, 0.3, 0.5])
+@pytest.mark.parametrize("tol", [1e-9, 1e-7, 1e-6])
+def test_image_sum_gradient_jump_at_the_seam(r, tol):
+    # dt = pi, its mirror (stored as pi again) and the next float above pi
+    # (reduced to -pi + ulp) put the image sum on both sides of the seam
+    g = green.green_eval(CirclePoint3(r, math.pi), ORIGIN, tol)
+    mirror = green.green_eval(CirclePoint3(-r, -math.pi), ORIGIN, tol)
+    across = green.green_eval(CirclePoint3(r, math.nextafter(math.pi, 4.0)), ORIGIN, tol)
+    assert g.regime is Regime.IMAGE_SUM
+    for other, sign in ((mirror, -1.0), (across, 1.0)):
+        assert other.regime is g.regime and other.terms == g.terms
+        assert abs(other.value - g.value) <= 1e-13
+        assert np.abs(other.grad - sign * g.grad).max() <= 1e-12 + seam_slack(g, tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -585,5 +618,5 @@ def test_fourier_bessel_and_image_sum_agree(r, a, t, tol):
     assume(abs(p.z) > green.R_SWITCH)  # r = 0.5 + ulp can round back to |z| = 0.5
     fb = green.green_eval(p, ORIGIN, 1e-13)
     assert fb.regime is Regime.FOURIER_BESSEL
-    im = green.green_image_sum(p, ORIGIN, math.ceil(math.sqrt(green.image_tail_constant(r) / tol)))
+    im = green.green_image_sum(p, ORIGIN, math.ceil(math.sqrt(green.image_tail_constant(r, t) / tol)))
     assert abs(fb.value - im.value) <= fb.trunc_bound + im.trunc_bound + 1e-14

@@ -260,6 +260,21 @@ def test_poincare_ratio_bounded_with_power():
     assert ms.poincare_constant_check(1.0, 0.3, np.int64(1), n_grid=3).n_trials == 1
 
 
+@pytest.mark.parametrize("R, delta", [(1.0, 2.5), (1.0, -2.5), (1.0, 50.0), (1.0, -50.0),
+                                      (0.5, 2.5), (2.0, -2.5)])
+def test_poincare_check_refuses_weights_past_float_range(R, delta):
+    # omega^(2 |delta|) at r = R e^160 overflows past |delta| ~ 2.2; the ratio was nan
+    with pytest.raises(WeightRangeError, match=r"\|delta\| must be <= 2\.\d+ at R="):
+        ms.poincare_constant_check(R, delta, 2)
+
+
+@pytest.mark.parametrize("delta", [2.0, -2.0])
+def test_poincare_check_answers_up_to_its_float_range(delta):
+    # runs under the suite's error::RuntimeWarning filter: no overflow on the way
+    rep = ms.poincare_constant_check(1.0, delta, 4, seed=1)
+    assert 0.0 < rep.max_ratio <= 1.0
+
+
 def test_poincare_constant_guards():
     assert ms.poincare_constant(1.0) == math.sqrt(3.0)
     for R in (0.0, -1.0, math.nan, math.inf):
