@@ -116,12 +116,21 @@ def _higgs_terms(m: AbelianMonopole, p: CirclePoint3, tol: float) -> tuple[float
 
 
 def higgs(m: AbelianMonopole, p: CirclePoint3, tol: float = 1e-10) -> float:
-    """v + sum of charge-weighted Green's/Coulomb profiles at p."""
+    """v + sum of charge-weighted Green's/Coulomb profiles at p.
+
+    Each periodic term's G is evaluated at tol/n, n the number of all terms,
+    and the Coulomb profiles are exact, so the truncation error of the value
+    is at most (sum_j |k_j| / n) tol over the charges k_j of the periodic
+    terms: for three periodic terms of charges 2, -1 and 1 that is 4/3 tol,
+    not tol."""
     return _higgs_terms(m, p, tol)[0]
 
 
 def higgs_gradient(m: AbelianMonopole, p: CirclePoint3, tol: float = 1e-10) -> np.ndarray:
-    """Gradient (d/dx, d/dy, d/dt) of the Higgs field at p."""
+    """Gradient (d/dx, d/dy, d/dt) of the Higgs field at p, summed from the
+    same terms as ``higgs``. Each G is sized at tol/n for its value, which
+    ``higgs`` then holds to (sum_j |k_j| / n) tol; the gradient carries no
+    certified bound."""
     return _higgs_terms(m, p, tol)[1]
 
 

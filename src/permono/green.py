@@ -232,30 +232,39 @@ def _tail_prefactor(r, nu: int):
 def _mode_counts(r: np.ndarray, tol, nu: int) -> np.ndarray:
     """Smallest M >= 0 per row with pref(r) r^nu Kmaj_nu((M+1) r) <= tol.
 
-    x = (M+1) r solves x + log(x)/2 - nu log(1 + 3/(8x)) = L, L = log(pref
-    r^nu sqrt(pi/2)/tol); two contracting fixed-point steps give x, and the
-    integer M is then made exact against the majorant itself."""
+    In log form the rule is x + h(x) >= L at x = (M+1) r, with the increasing
+    x + h(x) = log(sqrt(pi/2)/Kmaj_nu(x)), h(x) = log(x)/2 - nu log(1 + 3/(8x)),
+    and L = log(pref r^nu sqrt(pi/2)/tol) formed once. Two contracting
+    fixed-point steps x <- L - h(x) give x, and the integer M is then made
+    exact against the rule itself."""
     r = np.asarray(r, dtype=float)
     _require_tol(tol)
-    if (r <= 0.0).any():
-        raise SingularPointError("Fourier-Bessel regime requires r > 0")
-    if not np.isfinite(r).all():
+    if not (0.0 < r.min(initial=1.0) and r.max(initial=1.0) < math.inf):
+        if (r <= 0.0).any():
+            raise SingularPointError("Fourier-Bessel regime requires r > 0")
         raise ValueError("Fourier-Bessel rows need finite r")
-    pref = _tail_prefactor(r, nu)
-    L = np.log(pref * math.sqrt(math.pi / 2.0) / tol)
+
+    def h(x):
+        hx = 0.5 * np.log(x)
+        return hx - np.log1p(0.375 / x) if nu else hx
+
+    L = np.log(_tail_prefactor(r, nu) * (math.sqrt(math.pi / 2.0) / tol))
     x = np.maximum(L, r)
     for _ in range(2):
-        x = np.maximum(L - 0.5 * np.log(x) + nu * np.log1p(0.375 / x), r)
+        x = np.maximum(L - h(x), r)
     M = np.ceil(x / r) - 1.0
-    if (M > _MAX_FOURIER_TERMS).any():
+    if M.max(initial=0.0) > _MAX_FOURIER_TERMS:
         raise ToleranceUnreachableError(
             f"tol={tol} unreachable in Fourier-Bessel at r={r.min()}")
     while True:
-        short = pref * k_majorant((M + 1.0) * r, nu) > tol
-        spare = (M > 0.0) & (pref * k_majorant(np.maximum(M, 1.0) * r, nu) <= tol)
-        if not (short.any() or spare.any()):
+        # met: the rule holds at (M+1) r, at max(M, 1) r. An exact M meets the
+        # first, not the second (both at M = 0); each pass steps M by one to it
+        x = np.maximum(np.add.outer((1.0, 0.0), M), 1.0) * r
+        met = x + h(x) >= L
+        step = np.maximum(M + 1.0 - met[0] - met[1], 0.0)
+        if (step == M).all():
             return M.astype(int)
-        M = M + short - spare
+        M = step
 
 
 def fourier_terms_for(r: float, tol: float) -> int:
@@ -292,9 +301,9 @@ def _fourier_bessel(dx, dy, dt, r, M) -> list[GreenEval]:
     value = np.log(r) / TWO_PI - (k0 * c).sum(axis=0) / math.pi
     g_r = 1.0 / (TWO_PI * r) + m @ (k1 * c) / math.pi
     g_t = m @ (k0 * s) / math.pi
-    grad = np.stack([g_r * dx / r, g_r * dy / r, g_t], axis=1)
-    return [GreenEval(float(value[j]), grad[j], float(bound[j]), Regime.FOURIER_BESSEL,
-                      terms=int(M[j])) for j in range(r.size)]
+    grad = np.array([g_r * dx / r, g_r * dy / r, g_t]).T
+    return [GreenEval(v, g, b, Regime.FOURIER_BESSEL, terms=n)
+            for v, g, b, n in zip(value.tolist(), grad, bound.tolist(), M.tolist())]
 
 
 def green_fourier_bessel(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 60) -> GreenEval:
@@ -346,13 +355,13 @@ def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
     """
     _require_tol(tol)
     out: list[GreenEval | None] = [None] * len(centers)
-    fb = []
+    fb = {}
     for i, q in enumerate(centers):
         dx, dy, dt = _offsets(p, q)
         r = math.hypot(dx, dy)
         rho = math.sqrt(dx * dx + dy * dy + dt * dt)  # same rounding as green_multipole's check
         if r > R_SWITCH:
-            fb.append((i, dx, dy, dt, r))
+            fb[i] = (dx, dy, dt, r)
         elif rho < RHO_SWITCH or (rho < RHO_SERIES and tol >= _TOL_FLOOR):
             out[i] = green_multipole(p, q, tol)  # raises SingularPointError at the pole
         else:
@@ -361,9 +370,9 @@ def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
                 raise ToleranceUnreachableError(f"tol={tol} needs {M} image terms")
             out[i] = green_image_sum(p, q, max(M, 1))
     if fb:
-        idx, dx, dy, dt, r = (np.array(col) for col in zip(*fb))
+        dx, dy, dt, r = np.array(list(fb.values())).T
         evals = _fourier_bessel(dx, dy, dt, r, _mode_counts(r, tol, 0))
-        for i, g in zip(idx, evals):
+        for i, g in zip(fb, evals):
             out[i] = g
     return out
 

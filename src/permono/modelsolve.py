@@ -372,7 +372,10 @@ def poincare_constant_check(R: float, delta: float, trials: int,
     nodes, in which r dr = r^2 ds and (du/dr)^2 r^2 = (du/ds)^2, so each trial
     is two dot products against weights built once per call,
     mass = trapezoid weight * omega^{-2(delta+1)} r^2 and
-    stiffness = trapezoid weight * omega^{-2 delta}. du/ds is the central
+    stiffness = trapezoid weight * omega^{-2 delta}. Each weight is one exp of
+    its logarithm, with log r = s + log R and log omega = log(1 + e^(2 log r))/2,
+    so neither underflows nor overflows where the weight itself is a normal
+    float, at any R (r^2 alone overflows past r ~ 1e154). du/ds is the central
     difference, one-sided at the ends. A bump trial vanishes past its support
     s < 3.8, so it is evaluated on the grid prefix that ends two zero nodes
     past it; the windows use the whole grid.
@@ -401,16 +404,19 @@ def poincare_constant_check(R: float, delta: float, trials: int,
     s = np.linspace(0.0, span, n_grid)
     ds = span / (n_grid - 1)
     # every fresh full-grid array costs page faults, so the weights are built in
-    # place: r^2 becomes the stiffness and log(omega) the envelope omega^delta
-    r_sq = np.multiply(s, 2.0)
-    np.exp(r_sq, out=r_sq)
-    r_sq *= R * R
-    log_w = np.log1p(r_sq)
+    # place: 2 log r becomes the stiffness and log(omega) the envelope omega^delta
+    two_log_r = np.add(s, math.log(R))
+    two_log_r *= 2.0
+    # log(1 + r^2) is 2 log r to rounding once 2 log r >= 40 (e^-40 is below half
+    # an ulp of 40), so exp runs only below that and never overflows
+    log_w = two_log_r.copy()
+    near = int(np.searchsorted(two_log_r, 40.0))
+    np.log1p(np.exp(two_log_r[:near]), out=log_w[:near])
     log_w *= 0.5
     mass = np.multiply(log_w, -2.0 * (delta + 1.0))
+    mass += two_log_r
     np.exp(mass, out=mass)
-    mass *= r_sq
-    stiff = np.multiply(log_w, -2.0 * delta, out=r_sq)
+    stiff = np.multiply(log_w, -2.0 * delta, out=two_log_r)
     np.exp(stiff, out=stiff)
     for weight in (mass, stiff):  # the trapezoid rule
         weight *= ds

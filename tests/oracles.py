@@ -1,6 +1,7 @@
 """Oracles of the test suite that check ``permono`` by routes of their own:
 Fourier-Bessel sums of G built from scipy's K0/K1, never from the package's
-mode kernel ``green.bessel_modes``; the image sum of G over all M images at
+mode kernel ``green.bessel_modes``, and their mode counts by the linear form
+of the sizing rule; the image sum of G over all M images at
 once, the reference of the blocked ``green.green_image_sum``, and the exact
 tail of that sum in mpmath, the reference of its bound; the closed
 forms of the flat lifted metric g_hat = 2 g_euclid that the Hopf tests
@@ -31,6 +32,26 @@ def green_dt_zero_check(r: float) -> float:
     m = np.arange(1, green.fourier_terms_for(r, 1e-14) + 1)
     mk0 = m * special.k0(m * r)
     return max(abs(float(mk0 @ np.sin(m * t))) / math.pi for t in (0.0, math.pi))
+
+
+def mode_count(r: float, tol: float, nu: int) -> int:
+    """The smallest M >= 0 with pref(r) r^nu Kmaj_nu((M+1) r) <= tol, in the
+    rule's linear form and in pure math: pref(r) = 1/(pi (1 - e^{-r})) and
+    Kmaj_nu(x) = sqrt(pi/2x) e^{-x} (1 + 3/(8x))^nu, by bisection over
+    0 <= M <= green._MAX_FOURIER_TERMS (the bound decreases in M). The
+    reference of ``green._mode_counts``, which decides in log form."""
+    def bound(M):
+        x = (M + 1) * r
+        lead = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * (1.0 + 0.375 / x) ** nu
+        return r**nu / (math.pi * -math.expm1(-r)) * lead
+
+    lo, hi = -1, green._MAX_FOURIER_TERMS
+    if bound(hi) > tol:
+        raise ValueError(f"no count up to {hi} meets tol={tol} at r={r}")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if bound(mid) <= tol else (mid, hi)
+    return hi
 
 
 def image_sum_unblocked(p: green.CirclePoint3, q: green.CirclePoint3, M: int) -> green.GreenEval:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special
 
 import oracles
@@ -461,6 +462,20 @@ def test_mode_counts_minimal_with_bound_below_tol(r, log_tol, nu):
     assert pref * green.k_majorant((M + 1) * r, nu) <= tol
     if M > 0:
         assert pref * green.k_majorant(M * r, nu) > tol  # M - 1 modes miss tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), nu=st.sampled_from([0, 1]), log_tol=st.floats(-15.0, -2.0),
+       shape=st.sampled_from([(), (1,), (3,), (64, 64)]))
+def test_mode_counts_match_linear_rule_oracle(data, nu, log_tol, shape):
+    # the log-form counts against the rule pref Kmaj_nu((M+1) r) <= tol itself, row by
+    # row; a 0-d row is passed as a float, as connection_radial_gauge does
+    r = data.draw(hnp.arrays(float, shape, elements=st.floats(0.05, 20.0)))
+    tol = 10.0**log_tol
+    M = green._mode_counts(r if shape else float(r), tol, nu)
+    assert np.shape(M) == shape
+    want = [oracles.mode_count(x, tol, nu) for x in r.ravel().tolist()]
+    np.testing.assert_array_equal(np.ravel(M), want)
 
 
 @settings(max_examples=150, deadline=None)

@@ -294,16 +294,18 @@ def _oracle_window(r, r1, r2, w_up, w_dn):
 
 
 def _oracle_poincare_ratios(R, delta, trials, seed, n_grid):
-    """The same random trials on the whole grid, with np.gradient in s, du/dr =
-    (du/ds)/r and np.trapezoid over s."""
+    """The same random trials on the whole grid, with np.gradient in s,
+    (du/dr)^2 r^2 = (du/ds)^2 and np.trapezoid over s. The weights are powers
+    of omega taken through log(hypot(1, r)), so they stay finite at any R
+    where r = R e^s is a float."""
     rng = np.random.default_rng(seed)
     span = ms._POINCARE_LOG_SPAN
     s = np.linspace(0.0, span, n_grid)
     r = R * np.exp(s)
-    wgt = ms.omega(r)
+    log_w = np.log(np.hypot(1.0, r))
     C = math.sqrt(2.0 + R * R) / R
-    num_w = wgt ** (-2.0 * (delta + 1.0)) * r * r
-    den_w = wgt ** (-2.0 * delta) * r * r
+    num_w = np.exp(2.0 * np.log(r) - 2.0 * (delta + 1.0) * log_w)
+    den_w = np.exp(-2.0 * delta * log_w)
     ratios = np.empty(trials)
     for i in range(trials):
         if i % 2 == 0:
@@ -318,11 +320,11 @@ def _oracle_poincare_ratios(R, delta, trials, seed, n_grid):
             s2 = rng.uniform(0.9, 0.97) * span
             w_up = rng.uniform(0.3, 1.2)
             w_dn = rng.uniform(0.35, 0.45) * span
-            u = wgt**delta * _oracle_window(s, s1, s2, w_up, w_dn)
+            u = np.exp(delta * log_w) * _oracle_window(s, s1, s2, w_up, w_dn)
         if np.abs(u).max() == 0.0:
             ratios[i] = 0.0
             continue
-        du = np.gradient(u, s) / r
+        du = np.gradient(u, s)
         num = math.sqrt(np.trapezoid(num_w * u**2, x=s))
         den = math.sqrt(np.trapezoid(den_w * du**2, x=s))
         ratios[i] = num / ((C / abs(delta)) * den)
@@ -337,6 +339,24 @@ def test_poincare_check_matches_full_grid_oracle(R, mag, sign, seed, trials, n_g
     rep = ms.poincare_constant_check(R, sign * mag, trials, seed=seed, n_grid=n_grid)
     want = _oracle_poincare_ratios(R, sign * mag, trials, seed, n_grid)
     np.testing.assert_allclose(rep.ratios, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("R, delta", [(1e60, 1.0), (1e80, 1.0), (1e100, 0.5), (1e100, -0.5),
+                                      (1.0, 2.0)])
+def test_poincare_check_keeps_far_weights(R, delta):
+    # the mass weight omega^{-2(delta+1)} r^2 was exp(-2(delta+1) log omega) r^2, whose
+    # exponential underflowed once 2(delta+1) log omega > 745 (max_ratio 0.19 at
+    # R = 1e80, delta = 1; one trial 0.5752 for 0.5768 at R = 1, delta = 2), and r^2
+    # overflowed at R = 1e100 (nan)
+    rep = ms.poincare_constant_check(R, delta, 8, seed=3)
+    np.testing.assert_allclose(rep.ratios, _oracle_poincare_ratios(R, delta, 8, 3, 32001),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_poincare_check_max_ratio_independent_of_large_R():
+    # at R >> 1, omega = r to relative 1/R^2, so the ratio no longer depends on R
+    worst = [ms.poincare_constant_check(R, 1.0, 8, seed=3).max_ratio for R in (1e20, 1e60, 1e80)]
+    np.testing.assert_allclose(worst, worst[0], rtol=1e-9, atol=0.0)
 
 
 def test_poincare_ratio_scale_invariant():
