@@ -20,21 +20,21 @@ Every evaluation returns the value, the gradient (d/dx, d/dy, d/dt) and the
 certified truncation bound of the value for the regime used.
 
 Every Fourier-Bessel sum of the package (G here; the grid fields and the radial
-gauge in ``abelian``) is sized by one rule, ``_mode_counts``, and takes its
-radial factors from one kernel, ``bessel_modes``, the only caller of
-``specfn.bessel_k0``/``bessel_k1``: it fills mode-major planes that the caller
-owns with K0(m r) and K1(m r) at the kept pairs m <= M and exact zeros beyond.
-Each row is sized in closed form: M is the smallest count with
-pref(r) r^nu Kmaj_nu((M+1) r) <= tol, pref(r) = 1/(pi (1 - e^{-r})), where the
-majorants
+gauge in ``abelian``) takes its radial factors from one kernel, ``bessel_modes``,
+the only caller of ``specfn.bessel_k0``/``bessel_k1``: it fills mode-major planes
+that the caller owns with K0(m r) and K1(m r) at the kept pairs m <= M and exact
+zeros beyond. With pref(r) = 1/(pi (1 - e^{-r})), the tail past M modes is at
+most pref(r) r^nu K_nu((M+1) r), and the majorants
 
     K0(x) <= sqrt(pi/2x) e^{-x},    K1(x) <= sqrt(pi/2x) e^{-x} (1 + 3/(8x))
 
 hold for every x > 0 because the remainder of the Hankel expansion after
 l >= nu - 1/2 terms has the sign of the first neglected term (DLMF 10.40(ii));
-that term is -1/(8x) for K0 and -15/(128 x^2) relative for K1. The certified
-bound that G reports is the tail with the true K0((M+1) r), never above the
-majorant, so it is <= tol.
+that term is -1/(8x) for K0 and -15/(128 x^2) relative for K1. The grid fields
+and the radial gauge size their planes before they fill them, by ``_mode_counts``:
+the smallest M with pref(r) r^nu Kmaj_nu((M+1) r) <= tol. G's rows fill the plane
+of their certified tail pref(r) K0((M+1) r) anyway, so they read M off their K0
+planes (``_fourier_bessel_to_tol``), which may take fewer modes than the majorant.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def _tail_prefactor(r, nu: int):
     """r^nu / (pi (1 - e^{-r})): e^x K_nu(x) decreases, so K_nu((m+1) r) <=
     e^{-r} K_nu(m r) and sum_{m>M} r^nu K_nu(m r)/pi <= this times
     K_nu((M+1) r)."""
-    return r**nu / (math.pi * -np.expm1(-r))
+    return (r if nu else 1.0) / (np.expm1(-r) * -math.pi)
 
 
 def _mode_counts(r: np.ndarray, tol, nu: int) -> np.ndarray:
@@ -268,7 +268,8 @@ def _mode_counts(r: np.ndarray, tol, nu: int) -> np.ndarray:
 
 
 def fourier_terms_for(r: float, tol: float) -> int:
-    """Smallest M >= 0 with Kmaj_0((M+1) r)/(pi (1 - e^{-r})) <= tol."""
+    """Smallest M >= 0 with Kmaj_0((M+1) r)/(pi (1 - e^{-r})) <= tol; G's rows
+    may take fewer, as they read their count off the true K0 tail."""
     return int(_mode_counts(np.array([r]), tol, 0)[0])
 
 
@@ -285,16 +286,16 @@ def bessel_modes(r: np.ndarray, M: np.ndarray, k0: np.ndarray, k1: np.ndarray) -
     k1[keep] = specfn.bessel_k1(x)
 
 
-def _fourier_bessel(dx, dy, dt, r, M) -> list[GreenEval]:
-    """G and its gradient at rows r (n,) from M (n,) modes each. The rows take
-    M + 1 planes: the certified tail pref(r) K0((M+1) r) is read from each
-    row's last plane, which is then zeroed."""
-    k0, k1 = np.empty((2, M.max() + 1, r.size))
-    bessel_modes(r, M + 1, k0, k1)
-    last = (M, np.arange(r.size))
-    bound = _tail_prefactor(r, 0) * k0[last]
-    k0[last] = k1[last] = 0.0
-    m = np.arange(1.0, k0.shape[0] + 1.0)
+def _fourier_bessel(dx, dy, dt, r, pref, M, planes) -> list[GreenEval]:
+    """G and its gradient at rows r (n,) from M (n,) modes each, out of the
+    stacked planes (k0, k1) of K0(m r), K1(m r), filled for m <= M + 1 at
+    least: the certified tail pref(r) K0((M+1) r) is read from each row's
+    plane M + 1, and the planes from M + 1 on are zeroed in place."""
+    P = int(M.max()) + 1
+    m = np.arange(1.0, P + 1.0)
+    bound = pref * planes[0, M, np.arange(r.size)]
+    k0, k1 = planes = planes[:, :P]
+    planes *= np.less_equal.outer(m, M)
     mt = np.multiply.outer(m, dt)
     c = np.cos(mt)
     s = np.sin(mt)
@@ -306,6 +307,32 @@ def _fourier_bessel(dx, dy, dt, r, M) -> list[GreenEval]:
             for v, g, b, n in zip(value.tolist(), grad, bound.tolist(), M.tolist())]
 
 
+def _fourier_bessel_to_tol(dx, dy, dt, r, tol) -> list[GreenEval]:
+    """G at rows r (n,), each with the fewest modes M whose certified tail
+    pref(r) K0((M+1) r) is <= tol: M + 1 is the first K0 plane that meets tol.
+
+    Plane G = floor(x2/r) + 1 meets tol. As K0 <= Kmaj0, it is enough that
+    x + log(x)/2 >= L at x = G r, L = max(log(pref sqrt(pi/2)/tol), 1) (the max
+    only adds planes), whose root x* lies in [1, L]. f(x) = L - log(x)/2
+    decreases, so its steps from L alternate about x*: x1 = f(L) <= x*, with
+    x1 >= 1, and x2 = f(x1) >= x*. At x >= 1, K0 <= Kmaj0 (1 - 7/(128 x)) by the
+    next Hankel term, a gap far above rounding, so this holds in floats too.
+    A spare zero plane gives every row a plane that meets tol; a row whose
+    first lies past G raises. G is M + 1, in a few rows M + 2, and M is never
+    above the majorant count."""
+    pref = _tail_prefactor(r, 0)
+    L = np.maximum(np.log(pref * (math.sqrt(math.pi / 2.0) / tol)), 1.0)
+    G = (L - 0.5 * np.log(L - 0.5 * np.log(L))) // r + 1.0
+    if G.max() > _MAX_FOURIER_TERMS:
+        raise ToleranceUnreachableError(f"tol={tol} unreachable in Fourier-Bessel at r={r.min()}")
+    planes = np.empty((2, int(G.max()) + 1, r.size))
+    bessel_modes(r, G, *planes)
+    M = (pref * planes[0] <= tol).argmax(axis=0)
+    if not (M < G).all():
+        raise RuntimeError(f"a Fourier-Bessel row missed tol={tol} at its last plane")
+    return _fourier_bessel(dx, dy, dt, r, pref, M, planes)
+
+
 def green_fourier_bessel(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 60) -> GreenEval:
     """Log plus Bessel-mode expansion with M modes; requires r = |z - z_q| > 0."""
     M = require_integer("M", M, least=0)
@@ -313,7 +340,10 @@ def green_fourier_bessel(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 60)
     r = math.hypot(dx, dy)
     if r == 0.0:
         raise SingularPointError("Fourier-Bessel regime requires r > 0")
-    return _fourier_bessel(*(np.array([v]) for v in (dx, dy, dt, r, M)))[0]
+    dx, dy, dt, r, M = (np.array([v]) for v in (dx, dy, dt, r, M))
+    planes = np.empty((2, M[0] + 1, 1))
+    bessel_modes(r, M + 1, *planes)
+    return _fourier_bessel(dx, dy, dt, r, _tail_prefactor(r, 0), M, planes)[0]
 
 
 def green_multipole(p: CirclePoint3, q: CirclePoint3 = ORIGIN, tol: float = 1e-10) -> GreenEval:
@@ -371,7 +401,7 @@ def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
             out[i] = green_image_sum(p, q, max(M, 1))
     if fb:
         dx, dy, dt, r = np.array(list(fb.values())).T
-        evals = _fourier_bessel(dx, dy, dt, r, _mode_counts(r, tol, 0))
+        evals = _fourier_bessel_to_tol(dx, dy, dt, r, tol)
         for i, g in zip(fb, evals):
             out[i] = g
     return out

@@ -297,12 +297,13 @@ def omega_laplacian(r):
 
 
 def poincare_constant(R: float) -> float:
-    """The explicit constant sqrt(2 + R^2)/R of the weighted inequality.
+    """The explicit constant sqrt(2 + R^2)/R of the weighted inequality, as
+    sqrt(1 + 2/R^2) for R >= 1, where R^2 may overflow.
 
     Raises ValueError unless R is finite and > 0."""
     if not 0.0 < R < math.inf:
         raise ValueError(f"R must be positive and finite, got {R}")
-    return math.sqrt(2.0 + R * R) / R
+    return math.sqrt(1.0 + 2.0 / (R * R)) if R >= 1.0 else math.sqrt(2.0 + R * R) / R
 
 
 @dataclass
@@ -394,7 +395,10 @@ def poincare_constant_check(R: float, delta: float, trials: int,
         raise WeightRangeError(f"delta must be finite and nonzero, got {delta}")
     scale = poincare_constant(R) / abs(delta)
     span = _POINCARE_LOG_SPAN
-    delta_max = _LOG_DBL_MAX / (2.0 * (math.log(math.hypot(1.0, R * math.exp(span))) + 1.0))
+    # L = log omega(R e^span) = log(1 + e^(2 ell))/2, ell = log R + span, in log space
+    ell = math.log(R) + span
+    L = max(ell, 0.0) + 0.5 * math.log1p(math.exp(-2.0 * abs(ell)))
+    delta_max = _LOG_DBL_MAX / (2.0 * (L + 1.0))
     if not abs(delta) <= delta_max:
         raise WeightRangeError(
             f"|delta| must be <= {delta_max:.6g} at R={R}, or the weights overflow; got {delta}")

@@ -1,9 +1,9 @@
 """Oracles of the test suite that check ``permono`` by routes of their own:
 Fourier-Bessel sums of G built from scipy's K0/K1, never from the package's
 mode kernel ``green.bessel_modes``, and their mode counts by the linear form
-of the sizing rule; the image sum of G over all M images at
-once, the reference of the blocked ``green.green_image_sum``, and the exact
-tail of that sum in mpmath, the reference of its bound; the closed
+of the sizing rule and by stepping the true K0 tail; the image sum of G over
+all M images at once, the reference of the blocked ``green.green_image_sum``,
+and the exact tail of that sum in mpmath, the reference of its bound; the closed
 forms of the flat lifted metric g_hat = 2 g_euclid that the Hopf tests
 compare against; and the closed forms of the charge-m sphere spectrum and of
 the weight identity of the model problems."""
@@ -52,6 +52,18 @@ def mode_count(r: float, tol: float, nu: int) -> int:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if bound(mid) <= tol else (mid, hi)
     return hi
+
+
+def fourier_bessel_count(r: float, tol: float) -> int:
+    """The smallest M >= 0 whose tail bound pref(r) K0((M+1) r) <= tol, with
+    the true K0 of scipy and pref(r) = 1/(pi (1 - e^{-r})) in pure math, found
+    by stepping M up from 0: the reference of the counts of G's
+    Fourier-Bessel rows, which read them off the package's K0 planes."""
+    pref = 1.0 / (math.pi * -math.expm1(-r))
+    M = 0
+    while pref * float(special.k0((M + 1) * r)) > tol:
+        M += 1
+    return M
 
 
 def image_sum_unblocked(p: green.CirclePoint3, q: green.CirclePoint3, M: int) -> green.GreenEval:

@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import special
@@ -480,18 +480,71 @@ def test_mode_counts_match_linear_rule_oracle(data, nu, log_tol, shape):
 
 @settings(max_examples=150, deadline=None)
 @given(r=st.floats(0.05, 20.0), t=st.floats(0.0, TWO_PI), log_tol=st.floats(-15.0, -2.0))
+@example(r=1.0, t=0.3, log_tol=-5.5)  # 10 modes meet tol, the majorant needs 11
 def test_fourier_bessel_bound_is_the_next_mode(r, t, log_tol):
-    # G's FB trunc_bound is pref(r) K0((M+1) r) at the count of _mode_counts
+    # the M-mode sum reports pref(r) K0((M+1) r); G's FB rows take the fewest modes
+    # whose reported bound meets tol, never more than the majorant count
     tol = 10.0**log_tol
     M = green.fourier_terms_for(r, tol)
     p = CirclePoint3(complex(r), t)
+    pref = green._tail_prefactor(r, 0)
     g = green.green_fourier_bessel(p, ORIGIN, M)
     assert g.terms == M
-    assert g.trunc_bound == green._tail_prefactor(r, 0) * specfn.bessel_k0((M + 1) * r) <= tol
+    assert g.trunc_bound == pref * specfn.bessel_k0((M + 1) * r) <= tol
     if r > green.R_SWITCH:
         e = green.green_eval(p, ORIGIN, tol)
+        n = e.terms
+        assert e.regime is Regime.FOURIER_BESSEL and n <= M
+        assert n == 0 or pref * specfn.bessel_k0(n * r) > tol  # n - 1 modes miss tol
+        assert e.trunc_bound == pref * specfn.bessel_k0((n + 1) * r) <= tol
+        f = green.green_fourier_bessel(p, ORIGIN, n)
+        assert e.value == f.value and (e.grad == f.grad).all() and e.trunc_bound == f.trunc_bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(0.5, 20.0, exclude_min=True), st.floats(0.0, TWO_PI)),
+                     min_size=1, max_size=3),
+       log_tol=st.floats(-15.0, -2.0))
+# rows whose plane count G is M + 2: M = 10 of G = 12, 8 of 10 and 0 of 2
+@example(rows=[(1.0, 0.3)], log_tol=-5.5)
+@example(rows=[(0.65, 1.0)], log_tol=-3.0)
+@example(rows=[(3.65, 2.0)], log_tol=-2.25)
+def test_fourier_bessel_rows_take_the_first_count_that_meets_tol(rows, log_tol):
+    # 1-3 centres at mixed r share one plane stack; each row's count is the oracle's,
+    # stepped on scipy's K0, and its bound is the tail at that count
+    tol = 10.0**log_tol
+    evals = green.green_eval_many(ORIGIN, [CirclePoint3(-r, t) for r, t in rows], tol)
+    for (r, _), e in zip(rows, evals):
+        M = oracles.fourier_bessel_count(r, tol)
         assert e.regime is Regime.FOURIER_BESSEL and e.terms == M
-        assert e.trunc_bound == g.trunc_bound and e.value == g.value
+        assert e.trunc_bound == green._tail_prefactor(r, 0) * specfn.bessel_k0((M + 1) * r) <= tol
+
+
+def test_fourier_bessel_row_at_a_loose_tol_takes_no_mode():
+    # tol so large that log(pref sqrt(pi/2)/tol) < 1: one plane, and it meets tol
+    r, tol = 0.6, 1.0
+    assert math.log(green._tail_prefactor(r, 0) * math.sqrt(math.pi / 2.0) / tol) < 1.0
+    e = green.green_eval_many(ORIGIN, [CirclePoint3(-r, 0.4)], tol)[0]
+    assert e.terms == 0 == oracles.fourier_bessel_count(r, tol)
+    assert e.trunc_bound == green._tail_prefactor(r, 0) * specfn.bessel_k0(r) <= tol
+
+
+def test_fourier_bessel_row_that_misses_tol_raises(monkeypatch):
+    # plane G meets tol by the majorant; a K0 1e6 times too large misses it in every
+    # row, which must raise, never report M = 0 or the bound of a zeroed plane
+    monkeypatch.setattr(specfn, "bessel_k0", lambda x, k0=specfn.bessel_k0: 1e6 * k0(x))
+    centres = [CirclePoint3(-0.7, 0.0), CirclePoint3(-6.0, 1.0)]
+    for some in (centres[:1], centres):
+        with pytest.raises(RuntimeError, match="missed tol"):
+            green.green_eval_many(ORIGIN, some, 1e-10)
+
+
+def test_fourier_bessel_rows_refuse_unreachable_and_overflowing_rows():
+    rows = [np.array([v]) for v in (1e-6, 0.0, 0.0, 1e-6)]
+    with pytest.raises(ToleranceUnreachableError):  # about 7e8 planes
+        green._fourier_bessel_to_tol(*rows, 1e-300)
+    with pytest.raises(ValueError):  # |z - q| overflows to inf from finite points
+        green.green_eval(CirclePoint3(1e308, 0.0), CirclePoint3(-1e308, 0.0))
 
 
 def test_bessel_modes_fill_kept_pairs_and_zero_beyond():

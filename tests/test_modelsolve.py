@@ -277,6 +277,8 @@ def test_poincare_check_answers_up_to_its_float_range(delta):
 
 def test_poincare_constant_guards():
     assert ms.poincare_constant(1.0) == math.sqrt(3.0)
+    assert ms.poincare_constant(2.0) == pytest.approx(math.sqrt(6.0) / 2.0, rel=1e-15)
+    assert ms.poincare_constant(1e200) == 1.0  # R * R overflowed to inf here
     for R in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="R must be positive and finite"):
             ms.poincare_constant(R)
@@ -351,6 +353,21 @@ def test_poincare_check_keeps_far_weights(R, delta):
     rep = ms.poincare_constant_check(R, delta, 8, seed=3)
     np.testing.assert_allclose(rep.ratios, _oracle_poincare_ratios(R, delta, 8, 3, 32001),
                                rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("delta", [0.3, -0.3, 0.41])
+@pytest.mark.parametrize("R", [1e200, 1e300])
+def test_poincare_check_answers_at_huge_R(R, delta):
+    # the constant squared R (inf past R ~ 1.3e154: every ratio read 0), and the delta
+    # bound took log(hypot(1, R e^160)) (inf at R = 1e300: every delta was refused)
+    want = ms.poincare_constant_check(1e150, delta, 4, seed=1).max_ratio
+    got = ms.poincare_constant_check(R, delta, 4, seed=1).max_ratio
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0) and got > 0.5
+
+
+def test_poincare_check_bounds_delta_at_huge_R():
+    with pytest.raises(WeightRangeError, match=r"\|delta\| must be <= 0\.416649 at R=1e\+300"):
+        ms.poincare_constant_check(1e300, 0.42, 2)
 
 
 def test_poincare_check_max_ratio_independent_of_large_R():
