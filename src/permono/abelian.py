@@ -64,7 +64,8 @@ class AbelianMonopole:
     def __post_init__(self):
         if not (math.isfinite(self.v) and math.isfinite(self.b)):
             raise ValueError(f"vacuum pair must be finite, got v={self.v}, b={self.b}")
-        self.b = float(self.b) % 1.0
+        b = float(self.b) % 1.0  # a tiny negative b rounds to 1.0
+        self.b = 0.0 if b == 1.0 else b
         centers = [t.center for t in self.terms]
         for i in range(len(centers)):
             for j in range(i + 1, len(centers)):

@@ -116,8 +116,8 @@ def lift_form(a, psi: float, p: Quat4Point) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape != (3,):
         raise ValueError("a must be a 3-component base covector")
-    if not math.isfinite(psi):
-        raise ValueError(f"psi must be finite, got {psi}")
+    if not (math.isfinite(psi) and np.isfinite(a).all()):
+        raise ValueError(f"a and psi must be finite, got a={a}, psi={psi}")
     pullback = np.tensordot(a, projection_jacobian(p), axes=(0, 0))
     return pullback - (psi / gh_potential(p)) * gibbons_hawking_connection(p)
 

@@ -11,10 +11,12 @@ derivatives on flat space) throughout, which is what makes
 -2/(1+r^2).
 
 All solvers share one three-point solver (``_robin_solve``): second-order
-central differences on a uniform mesh with truncation pushed below mesh
-error: the cylinder is cut at T + 20/gamma^+ with the exact decaying-branch
-Robin condition u' + gamma^+ u = 0, exterior domains at 10 R (or R + 16/mu
-for screened modes) with the per-mode harmonic/decaying condition.
+central differences on a uniform mesh, on a domain cut where truncation falls
+below mesh error. Window rule: the cylinder ends at T + 20/max(gamma^+, 1)
+with the exact decaying-branch Robin condition u' + gamma^+ u = 0, exterior
+domains at 10 R (or R + 16/mu if screened) with the per-mode harmonic/decaying
+condition. Resolution rule: each solve passes the rate of its decaying branch
+(gamma^+, mu, or 0 for algebraic decay); mesh * rate > 1/4 is UnderResolvedError.
 
 All solvers fit their decay by one rule (``_log_slope``): the least-squares
 slope of log|u| over the tail-window nodes with |u| > 1e-280, nan when fewer
@@ -23,7 +25,6 @@ than 8 qualify.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -67,7 +68,7 @@ def _log_slope(x: np.ndarray, u: np.ndarray) -> float:
 
 
 def _robin_solve(x0: float, x_max: float, mesh: float, drift, pot, f, phi: float,
-                 q: float, rate: float = 0.0) -> tuple[np.ndarray, np.ndarray, float]:
+                 q: float, rate: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Solve -u'' + drift(x) u' + pot(x) u = f(x), u(x0) = phi, u'(x_max) = q u(x_max)
     by central differences on the uniform grid of [x0, x_max] nearest to `mesh`;
     drift and pot are callables of the nodes, f is one or None (f = 0). The
@@ -143,7 +144,7 @@ def cylinder_solve(p: CylinderProblem, mesh: float) -> CylinderSolution:
     """Solve the half-cylinder Dirichlet problem, selecting the decaying
     branch at the far end, and fit the decay rate of |u|."""
     gp, _ = gamma_roots(p.lam)
-    window = min(max(20.0 / gp if gp > 1.0 else 20.0, 8.0), 200.0)
+    window = 20.0 / max(gp, 1.0)
     # the decaying branch: u' + gp u = 0 at the far end
     tau, u, h = _robin_solve(p.T, p.T + window, mesh, lambda x: 1.0, lambda x: p.lam,
                              p.f, p.phi, -gp, rate=gp)
@@ -155,42 +156,37 @@ def cylinder_solve(p: CylinderProblem, mesh: float) -> CylinderSolution:
 # exterior mode problems
 # ---------------------------------------------------------------------------
 
-class SectorKind(enum.Enum):
-    DIAGONAL_INVARIANT = "DiagonalInvariant"
-    OSCILLATORY = "Oscillatory"
-    OFF_DIAGONAL = "OffDiagonal"
-
-
 @dataclass(frozen=True)
 class Sector:
-    kind: SectorKind
-    mode: int = 0
-    coercivity: float | None = None
+    """An exterior sector as the angular mode n and screening mass mu^2 of its
+    model equation -u'' - u'/r + (n^2/r^2 + mu^2) u = f, checked where it is
+    built: an integer n (ValueError) and a finite mu^2 >= 0 (CoercivityError).
+    mu = 0 is the harmonic diagonal problem; the oscillatory sector of circle
+    mode k has mu^2 = k^2, the off-diagonal sector of coercivity c > 0 mu^2 = c."""
+
+    mode: int
+    mass_sq: float
+
+    def __post_init__(self):
+        require_integer("mode", self.mode)
+        if not 0.0 <= self.mass_sq < math.inf:
+            raise CoercivityError(f"mass_sq must be finite and >= 0, got {self.mass_sq}")
 
     @staticmethod
     def diagonal_invariant(angular_mode: int = 0) -> "Sector":
-        return Sector(SectorKind.DIAGONAL_INVARIANT, angular_mode)
+        return Sector(angular_mode, 0.0)
 
     @staticmethod
     def oscillatory(mode: int) -> "Sector":
-        if mode == 0:
+        if require_integer("mode", mode) == 0:
             raise ValueError("oscillatory sector needs a nonzero circle mode")
-        return Sector(SectorKind.OSCILLATORY, mode)
+        return Sector(0, float(mode * mode))
 
     @staticmethod
     def off_diagonal(coercivity: float) -> "Sector":
-        return Sector(SectorKind.OFF_DIAGONAL, 0, coercivity)
-
-    @property
-    def mass_sq(self) -> float:
-        """Screening mass mu^2 of the sector's model equation."""
-        if self.kind is SectorKind.OSCILLATORY:
-            return float(self.mode * self.mode)
-        if self.kind is SectorKind.OFF_DIAGONAL:
-            if self.coercivity is None or not 0.0 < self.coercivity < math.inf:
-                raise CoercivityError("off-diagonal sector requires finite coercivity > 0")
-            return float(self.coercivity)
-        raise ValueError("the invariant diagonal sector carries no mass")
+        if not 0.0 < coercivity < math.inf:
+            raise CoercivityError(f"coercivity must be finite and > 0, got {coercivity}")
+        return Sector(0, float(coercivity))
 
 
 @dataclass
@@ -212,7 +208,6 @@ class ExteriorModeProblem:
 class ExteriorSolution:
     r: np.ndarray
     u: np.ndarray
-    u_far: float
     fitted_power: float
     mesh: float
 
@@ -222,17 +217,16 @@ def exterior_diagonal_solve(p: ExteriorModeProblem, mesh: float) -> ExteriorSolu
     diagonal sector: -u'' - u'/r + (n^2/r^2) u = f. The far condition selects
     the bounded branch: a constant for n = 0 (log growth rejected), r^{-n}
     for n >= 1."""
-    if p.sector.kind is not SectorKind.DIAGONAL_INVARIANT:
-        raise ValueError("exterior_diagonal_solve needs the invariant diagonal sector")
+    if p.sector.mass_sq != 0.0:
+        raise ValueError("exterior_diagonal_solve needs the unscreened sector, mu = 0")
     if not (-1.0 < p.delta < 0.0):
         raise WeightRangeError(f"delta={p.delta} outside (-1, 0)")
     n_mode = abs(p.sector.mode)
     r_max = 10.0 * p.R
     r, u, h = _robin_solve(p.R, r_max, mesh, lambda r: -1.0 / r, lambda r: (n_mode / r) ** 2,
-                           p.f, p.phi, -n_mode / r_max)
-
+                           p.f, p.phi, -n_mode / r_max, rate=0.0)
     sel = (r >= 4.0 * p.R) & (r <= 7.0 * p.R)
-    return ExteriorSolution(r, u, float(u[-1]), _log_slope(np.log(r[sel]), u[sel]), h)
+    return ExteriorSolution(r, u, _log_slope(np.log(r[sel]), u[sel]), h)
 
 
 @dataclass
@@ -248,24 +242,25 @@ class CoerciveSolution:
 
 
 def exterior_coercive_solve(p: ExteriorModeProblem, mesh: float) -> CoerciveSolution:
-    """Screened exterior problem (-lap + mu^2) u = f for the oscillatory or
-    off-diagonal sector on the radial slice, with the decaying Bessel-type far
-    condition u'/u = -(mu + 1/(2r)). Reports the energy ratio
-    (|u'|^2 + mu^2 u^2 measure r dr) / |f|^2 and the fitted exponential decay
-    slope of sqrt(r) u beyond the source support."""
-    mu = math.sqrt(p.sector.mass_sq)
+    """Screened exterior problem -u'' - u'/r + (n^2/r^2 + mu^2) u = f of a
+    sector with mu > 0, with the decaying Bessel-type far condition
+    u'/u = -(mu + 1/(2r)). Reports the energy ratio
+    (|u'|^2 + (mu^2 + n^2/r^2) u^2 measure r dr) / |f|^2, inf when only f = 0,
+    and the fitted exponential decay slope of sqrt(r) u beyond the source support."""
+    if not p.sector.mass_sq > 0.0:
+        raise ValueError("exterior_coercive_solve needs a screened sector, mu > 0")
+    mu, n_mode = math.sqrt(p.sector.mass_sq), abs(p.sector.mode)
     r_max = max(10.0 * p.R, p.R + 16.0 / mu)
-    r, u, h = _robin_solve(p.R, r_max, mesh, lambda r: -1.0 / r, lambda r: mu * mu,
-                           p.f, p.phi, -(mu + 0.5 / r_max))
-
+    pot = lambda r: (n_mode / r) ** 2 + mu * mu
+    r, u, h = _robin_solve(p.R, r_max, mesh, lambda r: -1.0 / r, pot, p.f, p.phi,
+                           -(mu + 0.5 / r_max), rate=mu)
     du = np.gradient(u, h)
-    energy_u = float(np.trapezoid((du**2 + mu * mu * u**2) * r, dx=h))
+    energy_u = float(np.trapezoid((du**2 + pot(r) * u**2) * r, dx=h))
     f_all = np.zeros(r.size)
     if p.f is not None:
         f_all[:] = p.f(r)
     energy_f = float(np.trapezoid(f_all**2 * r, dx=h))
-    ratio = energy_u / energy_f if energy_f > 0.0 else 0.0
-
+    ratio = energy_u / energy_f if energy_f > 0.0 else math.inf if energy_u > 0.0 else 0.0
     supp = np.nonzero(np.abs(f_all) > 1e-14 * max(np.abs(f_all).max(), 1e-300))[0]
     fit_lo = r[supp[-1]] + 1.0 if supp.size else p.R + 1.0
     sel = (r >= fit_lo) & (r <= r_max - 2.0)
@@ -278,20 +273,17 @@ def exterior_coercive_solve(p: ExteriorModeProblem, mesh: float) -> CoerciveSolu
 # ---------------------------------------------------------------------------
 
 def omega(r):
-    """omega = sqrt(1 + r^2)."""
-    r = np.asarray(r, dtype=float)
-    return np.sqrt(1.0 + r * r)
+    """omega = sqrt(1 + r^2), as hypot(1, r): r * r overflows past r ~ 1.3e154."""
+    return np.hypot(1.0, np.asarray(r, dtype=float))
 
 
 def omega_gradient_norm(r):
     """|grad omega| = r / omega (< 1 everywhere)."""
-    r = np.asarray(r, dtype=float)
-    return r / omega(r)
+    return np.asarray(r, dtype=float) / omega(r)
 
 
 def omega_laplacian(r):
     """Geometer's Laplacian of omega on R^2: -(1+r^2)^{-3/2} - (1+r^2)^{-1/2}."""
-    r = np.asarray(r, dtype=float)
     w = omega(r)
     return -(w**-3 + w**-1)
 

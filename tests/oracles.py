@@ -5,8 +5,9 @@ of the sizing rule and by stepping the true K0 tail; the image sum of G over
 all M images at once, the reference of the blocked ``green.green_image_sum``,
 and the exact tail of that sum in mpmath, the reference of its bound; the closed
 forms of the flat lifted metric g_hat = 2 g_euclid that the Hopf tests
-compare against; and the closed forms of the charge-m sphere spectrum and of
-the weight identity of the model problems."""
+compare against; and the closed forms of the charge-m sphere spectrum, of
+the weight identity of the model problems and of the decay rate of the
+cylinder's central-difference scheme."""
 
 import cmath
 import math
@@ -129,6 +130,17 @@ def weight_identity_check(samples) -> float:
     if np.any(ms.omega_gradient_norm(r) > 1.0):
         raise AssertionError("|grad omega| exceeded 1")
     return float(np.abs(resid).max())
+
+
+def discrete_decay_rate(lam: float, h: float) -> float:
+    """-log(zeta)/h for the decaying root zeta of the central-difference
+    scheme of -u'' + u' + lam u = 0 at mesh h, i.e. of
+    (h/2 - 1) zeta^2 + (2 + lam h^2) zeta - (1 + h/2) = 0 (both roots are
+    positive; the decaying one is the smaller)."""
+    a, b, c = 0.5 * h - 1.0, 2.0 + lam * h * h, -(1.0 + 0.5 * h)
+    disc = math.sqrt(b * b - 4.0 * a * c)
+    zeta = min((-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a))
+    return -math.log(zeta) / h
 
 
 def flux_through_fiber(r: float, dt_nodes: np.ndarray) -> float:

@@ -41,6 +41,17 @@ def test_term_validation():
         abelian.higgs(unit_monopole(), CirclePoint3(3.0, 0.0), math.inf)
 
 
+@pytest.mark.parametrize("b", [-1e-20, -5e-324, -0.0, 1.0, 3.0, -2.0])
+def test_flat_twist_folds_into_unit_interval(b):
+    # float(b) % 1.0 rounds a tiny negative b to 1.0, and a_t read 1.0 for 0
+    m = unit_monopole(v=1.0, b=b)
+    assert 0.0 <= m.b < 1.0
+    assert abelian.connection_radial_gauge(m, CirclePoint3(3.0, 0.5)).a_t == m.b
+    z = 2.0 + 1.5j
+    want = cmath.exp(-1j * cmath.phase(z) - 2j * math.pi * b)
+    assert abs(abelian.holonomy(m, z) - want) <= 4 * EPS
+
+
 @pytest.mark.parametrize("kind", ["Periodic", "Euclidean", None, 0])
 def test_term_kind_must_be_a_kind(kind):
     # a string kind once matched neither Kind, so the term silently dropped out

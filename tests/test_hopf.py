@@ -261,6 +261,13 @@ def test_lift_form_rejects_non_finite_psi(psi):
         hopf.lift_form([0.1, 0.2, 0.3], psi, Quat4Point(0.8, 0.3j))
 
 
+@pytest.mark.parametrize("a", [[math.inf, 0.0, 0.0], [0.1, math.nan, 0.3], [0.0, 0.0, -math.inf]])
+def test_lift_form_rejects_non_finite_a(a):
+    # a = [inf, 0, 0] lifted to [inf, nan, nan, -inf]
+    with pytest.raises(ValueError, match="a and psi must be finite"):
+        hopf.lift_form(a, 0.5, Quat4Point(0.8, 0.3j))
+
+
 def test_quat_point_holds_arrays_of_one_shape():
     z1, z2 = np.array([0.5 + 0.1j, -0.3j]), np.array([0.2, 0.7 + 0.7j])
     p = Quat4Point(z1, z2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import oracles
 from permono import modelsolve as ms
@@ -122,6 +123,29 @@ def test_cylinder_guards():
                 ms.cylinder_solve(ms.CylinderProblem(lam=lam), mesh)
 
 
+@pytest.mark.parametrize("lam", [1e4, 1e5, 2e5])
+@pytest.mark.parametrize("mesh", [1e-3, 5e-4, 2e-4])
+def test_cylinder_window_follows_gamma_plus_at_large_lambda(lam, mesh):
+    # the window was at least 8, where the decaying branch e^(-gamma+ tau) underflows
+    # the fit (decay_rate nan at lam = 1e5, 2e5); it is 20/gamma+ at gamma+ > 1
+    gp, _ = ms.gamma_roots(lam)
+    if mesh * gp > 0.25:
+        with pytest.raises(UnderResolvedError):
+            ms.cylinder_solve(ms.CylinderProblem(lam=lam), mesh)
+        return
+    sol = ms.cylinder_solve(ms.CylinderProblem(lam=lam), mesh)
+    assert sol.tau.size - 1 == round(20.0 / gp / mesh)
+    # the scheme decays at its discrete rate; the fit may differ from gamma+ by
+    # that mesh error, doubled for the fit itself
+    assert abs(sol.decay_rate - gp) <= 2.0 * abs(oracles.discrete_decay_rate(lam, sol.mesh) - gp)
+
+
+def test_cylinder_window_is_twenty_below_gamma_plus_one():
+    for lam in (0.0, 0.5, 2.0):
+        sol = ms.cylinder_solve(ms.CylinderProblem(lam=lam), 1e-2)
+        assert sol.tau[-1] == 20.0 and sol.tau.size == 2001
+
+
 def test_exterior_diagonal_constant_mode():
     p = ms.ExteriorModeProblem(ms.Sector.diagonal_invariant(0), R=1.0, phi=1.0)
     sol = ms.exterior_diagonal_solve(p, 1e-3)
@@ -199,7 +223,7 @@ def test_coercive_zero_data_and_guards():
         with pytest.raises(ValueError, match="mesh must be finite"):
             ms.exterior_coercive_solve(p, mesh)
     with pytest.raises(UnderResolvedError):
-        ms.exterior_coercive_solve(p, 1.0)  # 16 cells on [1, 17]
+        ms.exterior_coercive_solve(p, 1.0)  # mesh * mu = 1 > 1/4, and 16 cells on [1, 17]
 
 
 def test_coercive_bessel_mode_second_order():
@@ -236,6 +260,83 @@ def test_coercive_mass_doubling_halves_l2():
         return math.sqrt(np.trapezoid(sol.u**2 * sol.r, dx=sol.mesh))
 
     assert l2(dbl) <= 0.5 * l2(base)
+
+
+def test_sector_is_its_mode_and_mass():
+    assert ms.Sector.diagonal_invariant(2) == ms.Sector(2, 0.0)
+    assert ms.Sector.diagonal_invariant() == ms.Sector(0, 0.0)
+    assert ms.Sector.oscillatory(-3) == ms.Sector(0, 9.0)
+    assert ms.Sector.off_diagonal(4.0) == ms.Sector(0, 4.0)
+    assert ms.Sector.diagonal_invariant(np.int64(1)).mode == 1
+
+
+@pytest.mark.parametrize("mode", [1.5, True, 2.0, None])
+def test_sector_refuses_a_non_integer_mode(mode):
+    # diagonal_invariant(1.5) was accepted, and the solve fitted power -1.5
+    for build in (ms.Sector.diagonal_invariant, ms.Sector.oscillatory,
+                  lambda n: ms.Sector(n, 1.0)):
+        with pytest.raises(ValueError, match="mode must be an integer"):
+            build(mode)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, -math.inf, math.nan, math.inf])
+def test_sector_refuses_a_bad_coercivity_where_it_is_built(c):
+    # the error waited until the solve
+    with pytest.raises(CoercivityError):
+        ms.Sector.off_diagonal(c)
+    if c != 0.0:
+        with pytest.raises(CoercivityError):
+            ms.Sector(0, c)
+
+
+def test_each_exterior_solve_needs_its_mass():
+    with pytest.raises(ValueError, match="mu = 0"):
+        ms.exterior_diagonal_solve(ms.ExteriorModeProblem(ms.Sector(1, 0.5), R=1.0), 1e-3)
+    for sec in (ms.Sector.diagonal_invariant(0), ms.Sector(2, 0.0)):
+        with pytest.raises(ValueError, match="mu > 0"):
+            ms.exterior_coercive_solve(ms.ExteriorModeProblem(sec, R=1.0), 1e-2)
+
+
+@pytest.mark.parametrize("mu", [50.0, 200.0])
+def test_coercive_refuses_an_unresolved_mass(mu):
+    # at mesh 1e-2 the slope read -34.8 (mu = 50) and -35.2 (mu = 200), with no error
+    bump = lambda r: np.exp(-(((r - 3.0) / 0.5) ** 2))
+    p = ms.ExteriorModeProblem(ms.Sector.off_diagonal(mu * mu), R=1.0, f=bump)
+    with pytest.raises(UnderResolvedError, match="cannot resolve"):
+        ms.exterior_coercive_solve(p, 1e-2)
+    assert ms.exterior_coercive_solve(p, 0.25 / mu).mesh == 0.25 / mu  # mesh * mu = 1/4 is accepted
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=st.integers(1, 8), mesh=st.floats(5e-4, 4e-3))
+def test_coercive_decay_slope_property(mu, mesh):
+    # the benchmark's bound: the log-derivative of sqrt(r) K0(mu r) is
+    # -mu + 1/(8 mu r^2) + ..., and the fit starts at r >= 4 past the bump at 3;
+    # the scheme's own rate error mu^3 h^2 / 24 is below 1e-3 on these meshes
+    bump = lambda r: np.exp(-(((r - 3.0) / 0.5) ** 2))
+    p = ms.ExteriorModeProblem(ms.Sector.oscillatory(mu), R=1.0, f=bump)
+    sol = ms.exterior_coercive_solve(p, mesh)
+    assert abs(sol.decay_slope + mu) <= 1.0 / (36.0 * mu)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_coercive_solves_the_sector_mode(n):
+    # K_n(r) solves -u'' - u'/r + (n^2/r^2 + 1) u = 0; the far condition
+    # u'/u = -(1 + 1/(2r)) holds to O(r^-2) for every n
+    p = ms.ExteriorModeProblem(ms.Sector(n, 1.0), R=1.0, phi=float(special.kn(n, 1.0)))
+    errs = []
+    for mesh in (4e-3, 2e-3, 1e-3):
+        sol = ms.exterior_coercive_solve(p, mesh)
+        errs.append(np.abs(sol.u - special.kn(n, sol.r)).max())
+    assert 1.8 <= math.log2(errs[0] / errs[1]) <= 2.2
+    assert 1.8 <= math.log2(errs[1] / errs[2]) <= 2.2
+
+
+def test_coercive_energy_ratio_without_source():
+    # f = 0 with u != 0 read 0.0; u = 0 too keeps 0.0
+    p = ms.ExteriorModeProblem(ms.Sector.oscillatory(1), R=1.0, phi=1.0)
+    sol = ms.exterior_coercive_solve(p, 1e-2)
+    assert sol.energy_f == 0.0 and sol.energy_u > 1.0 and sol.energy_ratio == math.inf
 
 
 def test_poincare_ratio_bounded_with_power():
@@ -401,3 +502,12 @@ def test_weight_identity():
     assert -ms.omega(0.0) * ms.omega_laplacian(0.0) == pytest.approx(2.0, abs=1e-15)
     assert ms.omega_gradient_norm(100.0) == pytest.approx(100.0 / math.sqrt(10001.0), rel=1e-15)
     assert ms.omega_gradient_norm(100.0) < 1.0
+
+
+def test_weight_identity_at_huge_r():
+    # omega squared r and overflowed past r ~ 1.3e154: omega(1e155) was inf and
+    # |grad omega| 0.0 there
+    r = np.array([0.0, 1.0, 100.0, 1e155, 1e300])
+    np.testing.assert_array_equal(-ms.omega(r) * ms.omega_laplacian(r)
+                                  + ms.omega_gradient_norm(r) ** 2, 2.0)
+    assert ms.omega(1e155) == 1e155 and ms.omega_gradient_norm(1e155) == 1.0
