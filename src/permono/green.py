@@ -1,15 +1,14 @@
 """The periodic Green's function G of R^2 x S^1 with a single pole.
 
-G has three regimes; ``green_eval_many`` takes each where stated (rho = |p - q|):
+G has three regimes; ``green_eval_many`` takes each where stated, at any tol (rho = |p - q|):
 
 * ``FourierBessel`` -- r > R_SWITCH: (1/2 pi) log r - (1/pi) sum_m K0(m r) cos(m dt),
   valid for r > 0 with geometric tail K0((M+1) r)/(pi (1 - e^{-r})).
-* ``Multipole``    -- r <= R_SWITCH and rho < RHO_SERIES = pi/2 at tol >= _TOL_FLOOR, or
-  rho < RHO_SWITCH at any tol (a lower tol raises): the Legendre-zeta series (Linton,
-  Proc. R. Soc. A 455, 1999) a0/2 - 1/(2 rho) - sum_{k<=K} zeta(2k+1) S_2k/(2 pi)^(2k+1),
-  S_n = rho^n P_n(dt/rho). As |P_n| <= 1, the tail is at most zeta(3)/(2 pi)
-  x^(K+1)/(1 - x), x = (rho/2 pi)^2; K = 0 gives a0/2 - 1/(2 rho) within 0.00517 rho^2.
-* ``ImageSum``     -- the rest, rho >= pi/2 or tol < _TOL_FLOOR at rho >= RHO_SWITCH:
+* ``Multipole``    -- r <= R_SWITCH and rho < RHO_SERIES = pi/2: the Legendre-zeta series
+  (Linton, Proc. R. Soc. A 455, 1999) a0/2 - 1/(2 rho) - sum_{k<=K} zeta(2k+1) S_2k/(2 pi)^(2k+1),
+  S_n = rho^n P_n(dt/rho). As |P_n| <= 1, the tail is at most zeta(3)/(2 pi) x^(K+1)/(1 - x),
+  x = (rho/2 pi)^2 < 1/16: 7e-22 at K = 16. K = 0 gives a0/2 - 1/(2 rho) within 0.00517 rho^2.
+* ``ImageSum``     -- the shell r <= R_SWITCH, rho >= pi/2:
   the regularized sum over circle images, valid everywhere; pairing the +/-m images
   bounds its tail by C(r, dt)/M^2, C(r, dt) = max(2 dt^2, r^2)/(32 pi^3), sharp to
   leading order.
@@ -59,12 +58,12 @@ from .specfn import A0
 TWO_PI = 2.0 * math.pi
 
 #: regime boundaries of the automatic dispatcher; the series is certified for rho < RHO_SERIES
-RHO_SWITCH = 0.1
 R_SWITCH = 0.5
 RHO_SERIES = math.pi / 2.0
+RHO_SWITCH = 0.1  # not a regime boundary: the radius of the series' near-pole refusal
 
-#: Legendre-zeta c_k, k = 1..9 (x < 1/16 on rho < pi/2: tol >= _TOL_FLOOR needs K <= 9)
-_LZ_COEF = (special.zeta(np.arange(3.0, 20.0, 2.0)) / TWO_PI ** np.arange(3.0, 20.0, 2.0)).tolist()
+#: Legendre-zeta c_k, k = 1..16 (x < 1/16 on rho < pi/2: the tail after 16 terms is < 7e-22)
+_LZ_COEF = (special.zeta(np.arange(3.0, 34.0, 2.0)) / TWO_PI ** np.arange(3.0, 34.0, 2.0)).tolist()
 _LZ_TAIL = float(special.zeta(3.0)) / TWO_PI
 
 #: hard ceilings on series lengths before giving up on a tolerance
@@ -72,8 +71,7 @@ _MAX_IMAGE_TERMS = 20_000_000
 _MAX_FOURIER_TERMS = 200_000
 #: images per block of the image sum (six float64 buffers of this length, 384 KiB)
 _IMAGE_BLOCK = 8192
-#: series floor (one ulp of |G| at rho = 1e-6 is 5.8e-11): below it rho < RHO_SWITCH raises
-_TOL_FLOOR = 1e-12  # ToleranceUnreachableError and RHO_SWITCH <= rho < RHO_SERIES takes ImageSum
+_TOL_FLOOR = 1e-12  # the series raises below it at rho < RHO_SWITCH: |G| ulp at 1e-6 is 5.8e-11
 
 
 class Regime(enum.Enum):
@@ -169,6 +167,8 @@ def green_image_sum(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 1000) ->
     memory does not grow with M. Each +m term meets its -m partner in an
     expression symmetric under up <-> -dn, which keeps the sum bitwise even in dt."""
     M = require_integer("M", M, least=1)
+    if M > _MAX_IMAGE_TERMS:
+        raise ValueError(f"M={M} image pairs exceed _MAX_IMAGE_TERMS={_MAX_IMAGE_TERMS}")
     dx, dy, dt = _offsets(p, q)
     r2 = dx * dx + dy * dy
     if r2 == 0.0 and dt == 0.0:
@@ -336,6 +336,8 @@ def _fourier_bessel_to_tol(dx, dy, dt, r, tol) -> list[GreenEval]:
 def green_fourier_bessel(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 60) -> GreenEval:
     """Log plus Bessel-mode expansion with M modes; requires r = |z - z_q| > 0."""
     M = require_integer("M", M, least=0)
+    if M > _MAX_FOURIER_TERMS:
+        raise ValueError(f"M={M} modes exceed _MAX_FOURIER_TERMS={_MAX_FOURIER_TERMS}")
     dx, dy, dt = _offsets(p, q)
     r = math.hypot(dx, dy)
     if r == 0.0:
@@ -347,8 +349,9 @@ def green_fourier_bessel(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 60)
 
 
 def green_multipole(p: CirclePoint3, q: CirclePoint3 = ORIGIN, tol: float = 1e-10) -> GreenEval:
-    """Legendre-zeta series with the fewest terms K that meet tol; valid for rho < pi/2
-    and tol >= _TOL_FLOOR. The gradient uses d_t S_n = n S_{n-1} and R_n = (1/r) d_r S_n,
+    """Legendre-zeta series with the fewest terms K <= 16 that meet tol, for rho < pi/2.
+    ToleranceUnreachableError only at tol < _TOL_FLOOR for rho < RHO_SWITCH, or past K = 16.
+    The gradient uses d_t S_n = n S_{n-1} and R_n = (1/r) d_r S_n,
     (n+1) R_{n+1} = (2n+1) dt R_n - n rho^2 R_{n-1} - 2n S_{n-1}, R_0 = R_1 = 0."""
     _require_tol(tol)
     dx, dy, dt = _offsets(p, q)
@@ -357,10 +360,11 @@ def green_multipole(p: CirclePoint3, q: CirclePoint3 = ORIGIN, tol: float = 1e-1
         raise SingularPointError(f"multipole model evaluated at its singular point, rho={rho}")
     if rho >= RHO_SERIES:
         raise OutOfRegimeError(f"multipole regime requires rho < pi/2, got rho={rho}")
-    if not tol >= _TOL_FLOOR:
-        raise ToleranceUnreachableError(f"tol={tol} below the near-pole floor {_TOL_FLOOR}")
     x = (rho / TWO_PI) ** 2
-    K = next(k for k in range(len(_LZ_COEF) + 1) if _LZ_TAIL * x ** (k + 1) / (1.0 - x) <= tol)
+    K = next((k for k in range(len(_LZ_COEF) + 1)
+              if _LZ_TAIL * x ** (k + 1) / (1.0 - x) <= tol), None)
+    if K is None or (rho < RHO_SWITCH and tol < _TOL_FLOOR):  # past the table, or the floor
+        raise ToleranceUnreachableError(f"tol={tol} unreachable by the series at rho={rho}")
     S, R = [1.0, dt], [0.0, 0.0]
     for n in range(1, 2 * K):
         S.append(((2 * n + 1) * dt * S[n] - n * rho * rho * S[n - 1]) / (n + 1))
@@ -379,9 +383,9 @@ def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
     trunc_bound <= tol; the Fourier-Bessel centres share one ``bessel_modes``
     call.
 
-    Fourier-Bessel takes r > R_SWITCH; inside, the series takes rho < RHO_SERIES at
-    tol >= _TOL_FLOOR and rho < RHO_SWITCH at any tol (raising below the floor), and
-    the image sum the rest: rho >= RHO_SERIES, or tol < _TOL_FLOOR at rho >= RHO_SWITCH.
+    The regime is a function of the point alone: Fourier-Bessel takes r > R_SWITCH;
+    inside, the series takes rho < RHO_SERIES at every tol it can certify (raising
+    beyond it, see ``green_multipole``), and the image sum the shell rho >= RHO_SERIES.
     """
     _require_tol(tol)
     out: list[GreenEval | None] = [None] * len(centers)
@@ -392,13 +396,13 @@ def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
         rho = math.sqrt(dx * dx + dy * dy + dt * dt)  # same rounding as green_multipole's check
         if r > R_SWITCH:
             fb[i] = (dx, dy, dt, r)
-        elif rho < RHO_SWITCH or (rho < RHO_SERIES and tol >= _TOL_FLOOR):
+        elif rho < RHO_SERIES:
             out[i] = green_multipole(p, q, tol)  # raises SingularPointError at the pole
         else:
             M = math.ceil(math.sqrt(image_tail_constant(r, dt) / tol))
             if M > _MAX_IMAGE_TERMS:
                 raise ToleranceUnreachableError(f"tol={tol} needs {M} image terms")
-            out[i] = green_image_sum(p, q, max(M, 1))
+            out[i] = green_image_sum(p, q, M)
     if fb:
         dx, dy, dt, r = np.array(list(fb.values())).T
         evals = _fourier_bessel_to_tol(dx, dy, dt, r, tol)

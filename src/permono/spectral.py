@@ -33,6 +33,10 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import ResolutionTooLowError, require_integer
 
+#: relative tolerance of the oracle, against max(|lambda|, 0.25): neighbours further
+#: apart start a new cluster, and no eigenvalue may move further at half resolution
+_CLUSTER_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class SpectrumEntry:
@@ -141,10 +145,12 @@ def _mode_diagonal(grid, n: int) -> np.ndarray:
 
 def sphere_laplacian_oracle(m: int, l_cut: int, n_phi: int = 600) -> OracleSpectrum:
     """Discretized spectrum of the charge-m sphere Laplacian up to the l_cut
-    eigenvalue, clustered where neighbours differ by more than 1e-3 relative.
+    eigenvalue, clustered where neighbours differ by more than _CLUSTER_TOL relative.
 
-    Convergence is certified by a half-resolution Richardson comparison; if
-    any reported eigenvalue moves by more than 5% the resolution is rejected.
+    Convergence is certified by a half-resolution comparison with the same
+    tolerance: if any eigenvalue moves by more than _CLUSTER_TOL relative to
+    max(|lambda|, 0.25), the resolution is rejected, so a cluster that the
+    grid still splits is refused rather than reported with a wrong size.
 
     Under phi -> pi - phi the grid maps onto itself and m(1-cos)/2 onto
     |m| - m(1-cos)/2, so the operator of mode n is the entrywise reversal of
@@ -178,14 +184,14 @@ def sphere_laplacian_oracle(m: int, l_cut: int, n_phi: int = 600) -> OracleSpect
     if vals.size != coarse.size:
         raise ResolutionTooLowError("eigenvalue count changed under refinement")
     scale = np.maximum(np.abs(vals), 0.25)
-    if np.max(np.abs(vals - coarse) / scale) > 0.05:
-        raise ResolutionTooLowError("oracle eigenvalues moved > 5% under refinement")
+    if np.max(np.abs(vals - coarse) / scale) > _CLUSTER_TOL:
+        raise ResolutionTooLowError(f"oracle eigenvalues moved > {_CLUSTER_TOL} under refinement")
 
     clusters: list[OracleCluster] = []
     start = 0
     for i in range(1, vals.size + 1):
         ref = max(abs(vals[start]), 0.25)
-        if i == vals.size or abs(vals[i] - vals[i - 1]) > 1e-3 * ref:
+        if i == vals.size or abs(vals[i] - vals[i - 1]) > _CLUSTER_TOL * ref:
             clusters.append(OracleCluster(float(np.mean(vals[start:i])), i - start))
             start = i
     return OracleSpectrum(m, vals, clusters)

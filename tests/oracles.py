@@ -3,7 +3,9 @@ Fourier-Bessel sums of G built from scipy's K0/K1, never from the package's
 mode kernel ``green.bessel_modes``, and their mode counts by the linear form
 of the sizing rule and by stepping the true K0 tail; the image sum of G over
 all M images at once, the reference of the blocked ``green.green_image_sum``,
-and the exact tail of that sum in mpmath, the reference of its bound; the closed
+the exact tail of that sum in mpmath, the reference of its bound, and the
+whole image sum of G and its gradient in mpmath, the reference of the
+Legendre-zeta series; the closed
 forms of the flat lifted metric g_hat = 2 g_euclid that the Hopf tests
 compare against; and the closed forms of the charge-m sphere spectrum, of
 the weight identity of the model problems and of the decay rate of the
@@ -110,6 +112,33 @@ def image_sum_tail(r: float, dt: float, M: int) -> float:
                       / (2 * mp.pi) ** (2 * k + 1))
             k += 1
         return float(abs(total))
+
+
+def green_image_nsum(dx: float, dy: float, dt: float) -> tuple[float, np.ndarray]:
+    """G and its gradient at the offset (dx, dy, dt) from the whole paired image
+    sum in mpmath at 30 digits: G = -(1/d(dt) - a0 + sum_{m>=1} pair_m)/2,
+    pair_m = 1/d(dt - 2 pi m) + 1/d(dt + 2 pi m) - 1/(pi m), d(s) = sqrt(r^2 + s^2),
+    and the gradient of each image summed the same way. The sums over m are
+    extrapolated to m = inf (``mp.nsum`` by Richardson: each summand has an
+    expansion in 1/m), so no truncation of the package enters: the reference
+    of the Legendre-zeta series at any tol."""
+    with mp.workdps(30):
+        dx, dy, dt = mp.mpf(dx), mp.mpf(dy), mp.mpf(dt)
+        r2, tp = dx * dx + dy * dy, 2 * mp.pi
+
+        def images(f, regular=lambda m: 0):  # f at s = dt -+ 2 pi m, summed over m >= 1
+            return mp.nsum(lambda m: f(dt - tp * m) + f(dt + tp * m) - regular(m), [1, mp.inf],
+                           method="richardson")
+
+        def d(s):
+            return mp.sqrt(r2 + s * s)
+
+        pair = images(lambda s: 1 / d(s), lambda m: 2 / (tp * m))
+        cube = images(lambda s: d(s) ** -3) + d(dt) ** -3
+        moment = images(lambda s: s * d(s) ** -3) + dt * d(dt) ** -3
+        a0 = (mp.log(4 * mp.pi) - mp.euler) / mp.pi
+        value = -(1 / d(dt) - a0 + pair) / 2
+        return float(value), np.array([float(dx * cube / 2), float(dy * cube / 2), float(moment / 2)])
 
 
 def kuwabara_eigenvalues(m: int, j_max: int) -> list[tuple[int, float, int]]:

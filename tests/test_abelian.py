@@ -115,18 +115,21 @@ def test_higgs_gradient_matches_central_differences():
     step = 1e-4
     far = CirclePoint3(2.5 + 1.5j, 1.0)
     near = CirclePoint3(0.9 + 0.6j + (0.2 + 0.1j), 0.6)
+    shell = CirclePoint3(0.9 + 0.6j + (0.2 + 0.1j), 2.3)  # dt = 2.0 from the charge -1 term
 
     def regimes(p, tol):
         # higgs evaluates each term at tol / (number of terms)
         return {green.green_eval(p, term.center, tol / len(m.terms)).regime for term in m.terms}
 
     assert regimes(far, 1e-12) == {green.Regime.FOURIER_BESSEL}
-    assert green.Regime.IMAGE_SUM in regimes(near, 1e-12)  # 3.3e-13 per term: below the floor
+    assert green.Regime.MULTIPOLE in regimes(near, 1e-12)  # 3.3e-13 per term: the series
     assert green.Regime.MULTIPOLE in regimes(near, 3e-12)  # 1e-12 per term: the series
+    assert green.Regime.IMAGE_SUM in regimes(shell, 1e-12)  # rho >= pi/2 inside r <= 0.5
     # the same monopole with a Euclidean term
     euclid = DiracTerm(CirclePoint3(2.0 + 1.0j, 1.0 - 2.8), -1, Kind.EUCLIDEAN)
     mixed = AbelianMonopole(m.terms + [euclid], v=1.0, b=0.25)
-    for mono, p, tol in ((m, far, 1e-12), (m, near, 1e-12), (m, near, 3e-12), (mixed, far, 1e-12)):
+    for mono, p, tol in ((m, far, 1e-12), (m, near, 1e-12), (m, near, 3e-12), (m, shell, 1e-12),
+                         (mixed, far, 1e-12)):
         got = abelian.higgs_gradient(mono, p, tol)
         fd = []
         for e in (1.0, 1j):

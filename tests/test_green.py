@@ -1,5 +1,6 @@
 """Periodic Green's function: regimes, certified bounds, asymptotic laws."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -222,21 +223,27 @@ def test_multipole_domain_errors():
 @pytest.mark.parametrize("rho, tol", [
     (1e-6, 1e-13),      # the K = 0 bound 5e-15 meets tol, but one ulp of |G| is 5.8e-11
     (0.09, 9.99e-13),
-    (1.5, 1e-14),       # green_multipole alone, beyond R_SWITCH
-    (0.3, 1e-13),       # the band RHO_SWITCH <= rho < RHO_SERIES: the image sum takes over
+    (1.5, 1e-14),       # green_multipole alone, beyond R_SWITCH: the series takes more terms
+    (0.3, 1e-13),       # the band RHO_SWITCH <= rho < RHO_SERIES: the series takes more terms
 ])
 def test_near_pole_tolerance_floor(rho, tol):
+    # the floor refuses only near the pole, rho < RHO_SWITCH; past it the series
+    # meets a tol below the floor, alone and in the dispatcher
     p = CirclePoint3(complex(rho), 0.0)
-    with pytest.raises(ToleranceUnreachableError):
-        green.green_multipole(p, ORIGIN, tol)
-    g = green.green_multipole(p, ORIGIN, 1e-12)
-    assert g.trunc_bound <= 1e-12
     if rho < green.RHO_SWITCH:
         with pytest.raises(ToleranceUnreachableError):
+            green.green_multipole(p, ORIGIN, tol)
+        with pytest.raises(ToleranceUnreachableError):
             green.green_eval(p, ORIGIN, tol)
-    elif rho <= green.R_SWITCH:
-        g = green.green_eval(p, ORIGIN, tol)
-        assert g.regime is Regime.IMAGE_SUM and g.trunc_bound <= tol
+    else:
+        g = green.green_multipole(p, ORIGIN, tol)
+        assert g.regime is Regime.MULTIPOLE and g.trunc_bound <= tol
+        if rho <= green.R_SWITCH:
+            e = green.green_eval(p, ORIGIN, tol)
+            assert e.regime is Regime.MULTIPOLE and e.trunc_bound <= tol
+            assert (e.value, e.terms) == (g.value, g.terms)
+    g = green.green_multipole(p, ORIGIN, 1e-12)
+    assert g.trunc_bound <= 1e-12
     if rho <= green.R_SWITCH:
         g = green.green_eval(p, ORIGIN, 1e-12)
         assert g.regime is Regime.MULTIPOLE and g.trunc_bound <= 1e-12
@@ -311,6 +318,58 @@ def test_legendre_zeta_gradient_matches_central_differences(p, tol):
     assert np.abs(np.array(fd) - g.grad).max() <= allow
 
 
+def band_point(rho, u, az, sign):
+    """The point at distance rho from ORIGIN with r = u min(rho, R_SWITCH) and dt of the sign."""
+    r = u * min(rho, green.R_SWITCH)
+    return CirclePoint3(r * cmath.exp(1j * az), sign * math.sqrt(max(rho * rho - r * r, 0.0)))
+
+
+#: points of the band RHO_SWITCH <= rho < RHO_SERIES inside r <= R_SWITCH
+band = st.builds(band_point, st.floats(green.RHO_SWITCH, green.RHO_SERIES, exclude_max=True),
+                 st.floats(0.0, 1.0), st.floats(0.0, TWO_PI), st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=band,
+       tol=st.floats(-16.0, -4.0).map(lambda e: 10.0**e))
+@example(p=CirclePoint3(0.3, 1.0), tol=1e-13)
+@example(p=CirclePoint3(0.0, 1.5), tol=1e-16)
+def test_series_takes_the_band_at_every_tol(p, tol):
+    # RHO_SWITCH <= rho < RHO_SERIES inside r <= R_SWITCH: the series at any tol, its
+    # value within its bound of the whole image sum (mpmath), up to rounding; its
+    # gradient within the gradient of its tail, sum_{k>K} c_k |grad S_2k| <=
+    # zeta(3)/(2 pi rho) sum_{k>K} (2k+1) x^k, as |grad S_n| <= sqrt(n(n+1)) rho^(n-1)
+    dx, dy, dt = green._offsets(p, ORIGIN)
+    r, rho = math.hypot(dx, dy), math.sqrt(dx * dx + dy * dy + dt * dt)
+    assume(r <= green.R_SWITCH and green.RHO_SWITCH <= rho < green.RHO_SERIES)
+    g = green.green_eval(p, ORIGIN, tol)
+    assert g.regime is Regime.MULTIPOLE and g.trunc_bound <= tol
+    value, grad = oracles.green_image_nsum(dx, dy, dt)
+    assert abs(g.value - value) <= g.trunc_bound + 8.0 * EPS * (0.5 / rho + 1.0)
+    x, K = (rho / TWO_PI) ** 2, g.terms
+    grad_tail = (special.zeta(3.0) / (TWO_PI * rho) * x ** (K + 1)
+                 * ((2 * K + 3) / (1.0 - x) + 2.0 * x / (1.0 - x) ** 2))
+    assert np.abs(g.grad - grad).max() <= grad_tail + 8.0 * EPS * (0.5 / rho**2 + 1.0)
+
+
+def test_series_refuses_a_tol_beyond_its_table():
+    # 16 terms leave about 1.5e-22 at rho = 1.5: a ToleranceUnreachableError, not StopIteration
+    p = CirclePoint3(0.0, 1.5)
+    for evaluate in (green.green_multipole, green.green_eval):
+        with pytest.raises(ToleranceUnreachableError):
+            evaluate(p, ORIGIN, 1e-25)
+    assert green.green_multipole(p, ORIGIN, 1e-21).terms == len(green._LZ_COEF) == 16
+
+
+@pytest.mark.parametrize("series, cap", [(green.green_image_sum, green._MAX_IMAGE_TERMS),
+                                         (green.green_fourier_bessel, green._MAX_FOURIER_TERMS)])
+def test_explicit_series_lengths_are_capped(series, cap):
+    # an unchecked M allocated (2, M+1) planes or looped M/8192 blocks; only cap + 1 is
+    # tried, which must raise before any allocation
+    with pytest.raises(ValueError, match=f"M={cap + 1}"):
+        series(CirclePoint3(1.0, 0.5), ORIGIN, cap + 1)
+
+
 def test_dispatcher_regime_selection():
     g = green.green_eval(CirclePoint3(5.0, 1.0), ORIGIN, tol=1e-10)
     assert g.regime is Regime.FOURIER_BESSEL
@@ -320,11 +379,11 @@ def test_dispatcher_regime_selection():
     g = green.green_eval(CirclePoint3(0.3, 2.0), ORIGIN, tol=1e-10)  # rho > RHO_SERIES
     assert g.regime is Regime.IMAGE_SUM
     assert g.trunc_bound <= 1e-10
-    # the band RHO_SWITCH <= rho < RHO_SERIES: the series at the floor, the image sum below it
+    # the band RHO_SWITCH <= rho < RHO_SERIES: the series at the floor and below it
     g = green.green_eval(CirclePoint3(0.3, 1.0), ORIGIN, tol=1e-12)
     assert g.regime is Regime.MULTIPOLE and g.terms <= 9 and g.trunc_bound <= 1e-12
     g = green.green_eval(CirclePoint3(0.3, 1.0), ORIGIN, tol=1e-13)
-    assert g.regime is Regime.IMAGE_SUM and g.trunc_bound <= 1e-13
+    assert g.regime is Regime.MULTIPOLE and g.terms <= 16 and g.trunc_bound <= 1e-13
     # near the pole with tol below the K = 0 bound: one more series term
     g = green.green_eval(CirclePoint3(0.05, 0.0), ORIGIN, tol=1e-9)
     assert g.regime is Regime.MULTIPOLE and g.terms == 1 and g.trunc_bound <= 1e-9
@@ -334,9 +393,9 @@ def test_dispatcher_regime_selection():
 @given(z=st.builds(lambda r, a: r * np.exp(1j * a), st.floats(0.0, 0.5), st.floats(0.0, TWO_PI)),
        t=st.floats(-math.pi, math.pi), tol=st.floats(-14.0, -6.0).map(lambda e: 10.0**e))
 def test_dispatcher_follows_the_regime_rule(z, t, tol):
-    # inside the cylinder r <= R_SWITCH: the series where it is certified, the
-    # image sum on the shell rho >= RHO_SERIES and below the floor, an error
-    # below the floor at rho < RHO_SWITCH
+    # inside the cylinder r <= R_SWITCH the point alone picks the regime: the
+    # series at rho < RHO_SERIES (an error below the floor at rho < RHO_SWITCH),
+    # the image sum on the shell rho >= RHO_SERIES
     p = CirclePoint3(z, t)
     dx, dy, dt = green._offsets(p, ORIGIN)
     r, rho = math.hypot(dx, dy), math.sqrt(dx * dx + dy * dy + dt * dt)
@@ -349,7 +408,7 @@ def test_dispatcher_follows_the_regime_rule(z, t, tol):
     assert g.trunc_bound <= tol
     if r > green.R_SWITCH:  # |z| = 0.5 can round up
         assert g.regime is Regime.FOURIER_BESSEL
-    elif rho < green.RHO_SWITCH or (rho < green.RHO_SERIES and tol >= green._TOL_FLOOR):
+    elif rho < green.RHO_SERIES:
         assert g.regime is Regime.MULTIPOLE
         m = green.green_multipole(p, ORIGIN, tol)
         assert (g.value, g.trunc_bound, g.terms) == (m.value, m.trunc_bound, m.terms)

@@ -160,6 +160,30 @@ def test_oracle_guards():
         spectral.sphere_laplacian_oracle(3, 7, n_phi=16)
 
 
+def test_oracle_refuses_a_split_cluster():
+    # at n_phi = 40 the grid splits l = 5 into (6.486, 4) and (6.497, 2), for the
+    # truth (6.5, 6), while no eigenvalue moves 5% at half resolution
+    with pytest.raises(ResolutionTooLowError):
+        spectral.sphere_laplacian_oracle(-3, 5, n_phi=40)
+
+
+@pytest.mark.parametrize("m", range(-3, 4))
+def test_oracle_answers_only_with_the_true_multiplicities(m):
+    # every l_cut <= 8 at every n_phi in 20..60, where the grid may split a
+    # cluster: an answer has the clusters of the closed form, with centres
+    # within the cluster tolerance; a split is a ResolutionTooLowError
+    for l_cut in range(abs(m), 9, 2):
+        want = oracles.kuwabara_eigenvalues(m, (l_cut - abs(m)) // 2)
+        for n_phi in range(20, 61):
+            try:
+                osp = spectral.sphere_laplacian_oracle(m, l_cut, n_phi)
+            except ResolutionTooLowError:
+                continue
+            assert [c.size for c in osp.clusters] == [mult for _l, _lam, mult in want]
+            for c, (_l, lam, _mult) in zip(osp.clusters, want):
+                assert abs(c.center - lam) <= spectral._CLUSTER_TOL * max(lam, 0.25)
+
+
 @pytest.mark.parametrize("n_phi", [1, 0, -600, 600.7, 2.0, "600", None])
 def test_oracle_rejects_bad_n_phi(n_phi):
     with pytest.raises(ValueError, match="n_phi"):
