@@ -184,7 +184,8 @@ def translated_asymptotics(m: AbelianMonopole, p: CirclePoint3) -> FieldSample:
     With w = z0/z and r' = |z - z0|, the Higgs model is off by at most
     |k| (|w|^2/(4 pi (1 - |w|)) + Kmaj0(r')/(pi (1 - e^{-r'}))): the log tail
     -sum_{n>=2} Re(w^n)/n over 2 pi, plus the term's whole Fourier-Bessel sum
-    (Kmaj0 = ``green.k_majorant`` of K0, summed by ``green._tail_prefactor``).
+    (Kmaj0(x) = sqrt(pi/2x) e^{-x}, the K0 majorant of the ``green`` module
+    docstring, summed by ``green._tail_prefactor``).
     """
     term = _single_periodic(m)
     z0 = term.center.z

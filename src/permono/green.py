@@ -29,11 +29,9 @@ most pref(r) r^nu K_nu((M+1) r), and the majorants
 
 hold for every x > 0 because the remainder of the Hankel expansion after
 l >= nu - 1/2 terms has the sign of the first neglected term (DLMF 10.40(ii));
-that term is -1/(8x) for K0 and -15/(128 x^2) relative for K1. The grid fields
-and the radial gauge size their planes before they fill them, by ``_mode_counts``:
-the smallest M with pref(r) r^nu Kmaj_nu((M+1) r) <= tol. G's rows fill the plane
-of their certified tail pref(r) K0((M+1) r) anyway, so they read M off their K0
-planes (``_fourier_bessel_to_tol``), which may take fewer modes than the majorant.
+that term is -1/(8x) for K0 and -15/(128 x^2) relative for K1. Every sum is sized
+by the one closed-form count ``_mode_counts``; G's rows take its nu = 0 count plus
+one as their plane count and read their M off the true K0 planes.
 """
 
 from __future__ import annotations
@@ -214,62 +212,41 @@ def green_image_sum(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 1000) ->
     return GreenEval(value, np.array([gx, gy, gt]), bound, Regime.IMAGE_SUM, terms=M)
 
 
-def k_majorant(x, nu: int):
-    """Closed-form upper bound of K_nu(x), nu in {0, 1}, x > 0 (DLMF 10.40(ii)):
-    sqrt(pi/2x) e^{-x}, times (1 + 3/(8x)) for K1."""
-    x = np.asarray(x, dtype=float)
-    lead = np.sqrt(math.pi / (2.0 * x)) * np.exp(-x)
-    return lead * (1.0 + 0.375 / x) if nu == 1 else lead
-
-
 def _tail_prefactor(r, nu: int):
-    """r^nu / (pi (1 - e^{-r})): e^x K_nu(x) decreases, so K_nu((m+1) r) <=
-    e^{-r} K_nu(m r) and sum_{m>M} r^nu K_nu(m r)/pi <= this times
-    K_nu((M+1) r)."""
+    """r^nu / (pi (1 - e^{-r})): e^x K_nu(x) decreases, so K_nu((m+1) r) <= e^{-r} K_nu(m r)
+    and the tail sum_{m>M} r^nu K_nu(m r)/pi is at most this times K_nu((M+1) r)."""
     return (r if nu else 1.0) / (np.expm1(-r) * -math.pi)
 
 
 def _mode_counts(r: np.ndarray, tol, nu: int) -> np.ndarray:
-    """Smallest M >= 0 per row with pref(r) r^nu Kmaj_nu((M+1) r) <= tol.
+    """Mode count M = floor(x2/r) per row with pref(r) r^nu Kmaj_nu((M+1) r) <= tol,
+    never below the smallest such count, and at most one above it where x2 - x* < r.
 
-    In log form the rule is x + h(x) >= L at x = (M+1) r, with the increasing
-    x + h(x) = log(sqrt(pi/2)/Kmaj_nu(x)), h(x) = log(x)/2 - nu log(1 + 3/(8x)),
-    and L = log(pref r^nu sqrt(pi/2)/tol) formed once. Two contracting
-    fixed-point steps x <- L - h(x) give x, and the integer M is then made
-    exact against the rule itself."""
+    In log form the rule is g(x) = x + h(x) >= L at x = (M+1) r, h = log(x)/2 (less
+    log(1 + 3/(8x)) for nu = 1), L = max(log(pref r^nu sqrt(pi/2)/tol), 2). h' > 0, so g
+    rises and f = L - h falls; h vanishes at x0 = 1 (nu = 0) or ~1.55 (nu = 1), where
+    g = x0 < 2 <= L, so the root x* of g = L has h(x*) >= 0, x* <= L, and f's steps from L
+    alternate about x* = f(x*): 0 < x1 = f(L) <= x*, x2 = f(x1) >= x*, and (M+1) r > x2 meets
+    the rule (x2 - x* < 0.025 on a scan of L >= 2). It holds in floats too: past x0 the
+    next Hankel term gives K0 <= Kmaj0 (1 - 7/(128 x)), K1 <= Kmaj1 - Kmaj0 (15/(128 x^2)
+    - 105/(1024 x^3)), gaps far above the rounding of x2."""
     r = np.asarray(r, dtype=float)
     _require_tol(tol)
     if not (0.0 < r.min(initial=1.0) and r.max(initial=1.0) < math.inf):
-        if (r <= 0.0).any():
-            raise SingularPointError("Fourier-Bessel regime requires r > 0")
-        raise ValueError("Fourier-Bessel rows need finite r")
-
+        error = SingularPointError if (r <= 0.0).any() else ValueError
+        raise error("Fourier-Bessel rows need finite r > 0")
     def h(x):
-        hx = 0.5 * np.log(x)
-        return hx - np.log1p(0.375 / x) if nu else hx
+        return 0.5 * np.log(x) - np.log1p(0.375 / x) if nu else 0.5 * np.log(x)
 
-    L = np.log(_tail_prefactor(r, nu) * (math.sqrt(math.pi / 2.0) / tol))
-    x = np.maximum(L, r)
-    for _ in range(2):
-        x = np.maximum(L - h(x), r)
-    M = np.ceil(x / r) - 1.0
-    if M.max(initial=0.0) > _MAX_FOURIER_TERMS:
-        raise ToleranceUnreachableError(
-            f"tol={tol} unreachable in Fourier-Bessel at r={r.min()}")
-    while True:
-        # met: the rule holds at (M+1) r, at max(M, 1) r. An exact M meets the
-        # first, not the second (both at M = 0); each pass steps M by one to it
-        x = np.maximum(np.add.outer((1.0, 0.0), M), 1.0) * r
-        met = x + h(x) >= L
-        step = np.maximum(M + 1.0 - met[0] - met[1], 0.0)
-        if (step == M).all():
-            return M.astype(int)
-        M = step
+    L = np.maximum(np.log(_tail_prefactor(r, nu)) - math.log(tol / math.sqrt(math.pi / 2.0)), 2.0)
+    M = (L - h(L - h(L))) // r
+    if not M.max(initial=0.0) <= _MAX_FOURIER_TERMS:
+        raise ToleranceUnreachableError(f"tol={tol} unreachable in Fourier-Bessel at r={r.min()}")
+    return M.astype(int)
 
 
 def fourier_terms_for(r: float, tol: float) -> int:
-    """Smallest M >= 0 with Kmaj_0((M+1) r)/(pi (1 - e^{-r})) <= tol; G's rows
-    may take fewer, as they read their count off the true K0 tail."""
+    """``_mode_counts`` at nu = 0 for one r; G's rows may take fewer (their true K0 tail)."""
     return int(_mode_counts(np.array([r]), tol, 0)[0])
 
 
@@ -309,24 +286,13 @@ def _fourier_bessel(dx, dy, dt, r, pref, M, planes) -> list[GreenEval]:
 
 def _fourier_bessel_to_tol(dx, dy, dt, r, tol) -> list[GreenEval]:
     """G at rows r (n,), each with the fewest modes M whose certified tail
-    pref(r) K0((M+1) r) is <= tol: M + 1 is the first K0 plane that meets tol.
-
-    Plane G = floor(x2/r) + 1 meets tol. As K0 <= Kmaj0, it is enough that
-    x + log(x)/2 >= L at x = G r, L = max(log(pref sqrt(pi/2)/tol), 1) (the max
-    only adds planes), whose root x* lies in [1, L]. f(x) = L - log(x)/2
-    decreases, so its steps from L alternate about x*: x1 = f(L) <= x*, with
-    x1 >= 1, and x2 = f(x1) >= x*. At x >= 1, K0 <= Kmaj0 (1 - 7/(128 x)) by the
-    next Hankel term, a gap far above rounding, so this holds in floats too.
-    A spare zero plane gives every row a plane that meets tol; a row whose
-    first lies past G raises. G is M + 1, in a few rows M + 2, and M is never
-    above the majorant count."""
-    pref = _tail_prefactor(r, 0)
-    L = np.maximum(np.log(pref * (math.sqrt(math.pi / 2.0) / tol)), 1.0)
-    G = (L - 0.5 * np.log(L - 0.5 * np.log(L))) // r + 1.0
-    if G.max() > _MAX_FOURIER_TERMS:
-        raise ToleranceUnreachableError(f"tol={tol} unreachable in Fourier-Bessel at r={r.min()}")
+    pref(r) K0((M+1) r) is <= tol. As K0 <= Kmaj0, plane G = ``_mode_counts`` + 1
+    meets tol; with a spare zero plane every row meets tol somewhere, and a row
+    that first does past G raises. So M <= the majorant count < G."""
+    G = _mode_counts(r, tol, 0) + 1
     planes = np.empty((2, int(G.max()) + 1, r.size))
     bessel_modes(r, G, *planes)
+    pref = _tail_prefactor(r, 0)
     M = (pref * planes[0] <= tol).argmax(axis=0)
     if not (M < G).all():
         raise RuntimeError(f"a Fourier-Bessel row missed tol={tol} at its last plane")

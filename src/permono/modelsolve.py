@@ -113,13 +113,15 @@ def _robin_solve(x0: float, x_max: float, mesh: float, drift, pot, f, phi: float
 
 @dataclass
 class CylinderProblem:
-    """Dirichlet data for -u'' + u' + lambda u = f on tau >= T."""
+    """Dirichlet data for -u'' + u' + lambda u = f on tau >= T, in the space of
+    weight e^{delta tau}. It is uniquely solvable for gamma^- < delta < gamma^+, where
+    the default delta = -0.5 lies at every lambda >= 0; a delta outside raises."""
 
     lam: float
     T: float = 0.0
     f: Callable[[np.ndarray], np.ndarray] | None = None
     phi: float = 1.0
-    delta: float = 0.25
+    delta: float = -0.5
 
     def __post_init__(self):
         gp, gm = gamma_roots(self.lam)
@@ -129,6 +131,9 @@ class CylinderProblem:
             raise ExceptionalWeightError(
                 f"delta={self.delta} is an exceptional weight of lambda={self.lam}"
             )
+        if not gm < self.delta < gp:
+            raise WeightRangeError(f"delta={self.delta} outside (gamma^-, gamma^+) = "
+                                   f"({gm}, {gp}) of lambda={self.lam}")
 
 
 @dataclass

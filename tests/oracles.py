@@ -1,15 +1,15 @@
 """Oracles of the test suite that check ``permono`` by routes of their own:
 Fourier-Bessel sums of G built from scipy's K0/K1, never from the package's
-mode kernel ``green.bessel_modes``, and their mode counts by the linear form
-of the sizing rule and by stepping the true K0 tail; the image sum of G over
-all M images at once, the reference of the blocked ``green.green_image_sum``,
-the exact tail of that sum in mpmath, the reference of its bound, and the
-whole image sum of G and its gradient in mpmath, the reference of the
-Legendre-zeta series; the closed
-forms of the flat lifted metric g_hat = 2 g_euclid that the Hopf tests
-compare against; and the closed forms of the charge-m sphere spectrum, of
-the weight identity of the model problems and of the decay rate of the
-cylinder's central-difference scheme."""
+mode kernel ``green.bessel_modes``, the closed-form majorant of K0/K1, and the
+mode counts by the linear form of the sizing rule and by stepping the true K0
+tail; the image sum of G over all M images at once, the reference of the
+blocked ``green.green_image_sum``, the exact tail of that sum in mpmath, the
+reference of its bound, and the whole image sum of G and its gradient in
+mpmath, the reference of the Legendre-zeta series; the closed forms of the flat
+lifted metric g_hat = 2 g_euclid that the Hopf tests compare against; and the
+closed forms of the charge-m sphere spectrum, of the weight identity of the
+model problems and of the decay rate of the cylinder's central-difference
+scheme."""
 
 import cmath
 import math
@@ -37,16 +37,20 @@ def green_dt_zero_check(r: float) -> float:
     return max(abs(float(mk0 @ np.sin(m * t))) / math.pi for t in (0.0, math.pi))
 
 
+def k_majorant(x: float, nu: int) -> float:
+    """The closed-form upper bound sqrt(pi/2x) e^{-x} (1 + 3/(8x))^nu of K_nu(x),
+    nu in {0, 1}, x > 0 (DLMF 10.40(ii), see the ``green`` module docstring)."""
+    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * (1.0 + 0.375 / x) ** nu
+
+
 def mode_count(r: float, tol: float, nu: int) -> int:
     """The smallest M >= 0 with pref(r) r^nu Kmaj_nu((M+1) r) <= tol, in the
-    rule's linear form and in pure math: pref(r) = 1/(pi (1 - e^{-r})) and
-    Kmaj_nu(x) = sqrt(pi/2x) e^{-x} (1 + 3/(8x))^nu, by bisection over
-    0 <= M <= green._MAX_FOURIER_TERMS (the bound decreases in M). The
-    reference of ``green._mode_counts``, which decides in log form."""
+    rule's linear form and in pure math, with pref(r) = 1/(pi (1 - e^{-r})),
+    by bisection over 0 <= M <= green._MAX_FOURIER_TERMS (the bound decreases
+    in M). ``green._mode_counts``, which decides in log form, meets or exceeds
+    it by at most one."""
     def bound(M):
-        x = (M + 1) * r
-        lead = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * (1.0 + 0.375 / x) ** nu
-        return r**nu / (math.pi * -math.expm1(-r)) * lead
+        return r**nu / (math.pi * -math.expm1(-r)) * k_majorant((M + 1) * r, nu)
 
     lo, hi = -1, green._MAX_FOURIER_TERMS
     if bound(hi) > tol:

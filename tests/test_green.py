@@ -508,33 +508,53 @@ def test_batch_evaluation_matches_pointwise():
 @given(x=st.floats(1e-3, 700.0), nu=st.sampled_from([0, 1]))
 def test_k_majorant_bounds_bessel_k(x, nu):
     exact = mp.besselk(nu, mp.mpf(x))
-    assert float(exact) <= green.k_majorant(x, nu)
+    assert float(exact) <= oracles.k_majorant(x, nu)
 
 
 @settings(max_examples=150, deadline=None)
 @given(r=st.floats(0.05, 20.0), log_tol=st.floats(-15.0, -2.0), nu=st.sampled_from([0, 1]))
+# counts one above the smallest
+@example(r=2.62, log_tol=-3.0, nu=0)
+@example(r=3.29, log_tol=-12.0, nu=1)
+@example(r=13.06, log_tol=-5.5, nu=1)
 def test_mode_counts_minimal_with_bound_below_tol(r, log_tol, nu):
+    # the closed-form count is sound, and at most one above the smallest count
     tol = 10.0**log_tol
     M = int(green._mode_counts(np.array([r]), tol, nu)[0])
     pref = green._tail_prefactor(r, nu)
     assert pref == pytest.approx(r**nu / (math.pi * (1.0 - math.exp(-r))), rel=1e-14)
-    assert pref * green.k_majorant((M + 1) * r, nu) <= tol
-    if M > 0:
-        assert pref * green.k_majorant(M * r, nu) > tol  # M - 1 modes miss tol
+    assert pref * oracles.k_majorant((M + 1) * r, nu) <= tol
+    if M > 1:
+        assert pref * oracles.k_majorant((M - 1) * r, nu) > tol  # M - 2 modes miss tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_r=st.floats(math.log(0.01), math.log(50.0)), log_tol=st.floats(-16.0, 1.0),
+       nu=st.sampled_from([0, 1]))
+# rows where L = max(log(pref r^nu sqrt(pi/2)/tol), 2) is clamped at 2
+@example(log_r=math.log(0.6), log_tol=0.0, nu=0)
+@example(log_r=math.log(50.0), log_tol=1.0, nu=1)
+@example(log_r=math.log(0.01), log_tol=1.0, nu=1)
+def test_mode_counts_bound_the_true_tail(log_r, log_tol, nu):
+    # pref(r) r^nu K_nu((M+1) r) <= tol with K_nu in mpmath, not only its majorant
+    r, tol = math.exp(log_r), 10.0**log_tol
+    M = int(green._mode_counts(np.array([r]), tol, nu)[0])
+    assert green._tail_prefactor(r, nu) * float(mp.besselk(nu, (M + 1) * mp.mpf(r))) <= tol
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), nu=st.sampled_from([0, 1]), log_tol=st.floats(-15.0, -2.0),
        shape=st.sampled_from([(), (1,), (3,), (64, 64)]))
 def test_mode_counts_match_linear_rule_oracle(data, nu, log_tol, shape):
-    # the log-form counts against the rule pref Kmaj_nu((M+1) r) <= tol itself, row by
-    # row; a 0-d row is passed as a float, as connection_radial_gauge does
+    # the log-form counts against the smallest count of the rule pref Kmaj_nu((M+1) r)
+    # <= tol itself, row by row: never below it, at most one above; a 0-d row is
+    # passed as a float, as connection_radial_gauge does
     r = data.draw(hnp.arrays(float, shape, elements=st.floats(0.05, 20.0)))
     tol = 10.0**log_tol
     M = green._mode_counts(r if shape else float(r), tol, nu)
     assert np.shape(M) == shape
-    want = [oracles.mode_count(x, tol, nu) for x in r.ravel().tolist()]
-    np.testing.assert_array_equal(np.ravel(M), want)
+    want = np.array([oracles.mode_count(x, tol, nu) for x in r.ravel().tolist()], dtype=int)
+    assert (want <= np.ravel(M)).all() and (np.ravel(M) <= want + 1).all()
 
 
 @settings(max_examples=150, deadline=None)
@@ -580,7 +600,8 @@ def test_fourier_bessel_rows_take_the_first_count_that_meets_tol(rows, log_tol):
 
 
 def test_fourier_bessel_row_at_a_loose_tol_takes_no_mode():
-    # tol so large that log(pref sqrt(pi/2)/tol) < 1: one plane, and it meets tol
+    # tol so large that log(pref sqrt(pi/2)/tol) < 1: the clamp of L at 2 may add
+    # planes, but the first meets tol, so the row takes no mode
     r, tol = 0.6, 1.0
     assert math.log(green._tail_prefactor(r, 0) * math.sqrt(math.pi / 2.0) / tol) < 1.0
     e = green.green_eval_many(ORIGIN, [CirclePoint3(-r, 0.4)], tol)[0]
@@ -641,6 +662,15 @@ def test_mode_counts_reject_bad_rows_and_tolerances():
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             green._mode_counts(np.array([0.6, 2.0, 7.5]), bad, 1)
+
+
+def test_mode_counts_at_extreme_rows_and_tolerances():
+    # L is formed as a difference of logs, so no product overflows: the largest rows
+    # take no mode, and the smallest tol a count the oracle bounds
+    for nu in (0, 1):
+        assert green._mode_counts(np.array([1e8, 1e308]), 1e-300, nu).tolist() == [0, 0]
+        want = oracles.mode_count(3.0, 5e-324, nu)
+        assert want <= green._mode_counts(np.array([3.0]), 5e-324, nu)[0] <= want + 1
 
 
 def fourier_bessel_oracle(r, t):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -81,8 +81,23 @@ def test_cylinder_manufactured_source_second_order():
 def test_cylinder_decay_rates_match_indicial_roots():
     for m in (0, 1, 2):
         for e in spectral.operator_L_spectrum(m, 3).entries:
-            sol = ms.cylinder_solve(ms.CylinderProblem(lam=e.lam, phi=1.0, delta=0.26), 1e-3)
+            sol = ms.cylinder_solve(ms.CylinderProblem(lam=e.lam, phi=1.0, delta=-0.5), 1e-3)
             assert abs(sol.decay_rate - e.gamma_plus) <= 1e-3
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(0.0, 6.0), delta=st.floats(-5.0, 5.0))
+def test_cylinder_weight_range(lam, delta):
+    # away from the exceptional guard the problem builds exactly when
+    # gamma^- < delta < gamma^+, and the solution then lies in the weighted space
+    gp, gm = ms.gamma_roots(lam)
+    assume(min(abs(delta - gp), abs(delta - gm)) > 1e-3)
+    if not gm < delta < gp:
+        with pytest.raises(WeightRangeError, match="outside"):
+            ms.CylinderProblem(lam=lam, delta=delta)
+        return
+    sol = ms.cylinder_solve(ms.CylinderProblem(lam=lam, phi=1.0, delta=delta), 1e-2)
+    assert sol.decay_rate > delta
 
 
 def test_cylinder_linearity_and_zero_data():
@@ -104,7 +119,9 @@ def test_cylinder_guards():
         ms.CylinderProblem(lam=0.75, delta=0.5)
     with pytest.raises(ExceptionalWeightError):
         ms.CylinderProblem(lam=0.75, delta=-1.5 + 5e-10)
-    ms.CylinderProblem(lam=0.75, delta=0.5 + 1e-6)  # off the root: fine
+    ms.CylinderProblem(lam=0.75, delta=0.5 - 1e-6)  # off the root, inside (gamma^-, gamma^+): fine
+    with pytest.raises(WeightRangeError, match="outside"):  # off the root, above gamma^+
+        ms.CylinderProblem(lam=0.75, delta=0.5 + 1e-6)
     with pytest.raises(UnderResolvedError):
         ms.cylinder_solve(ms.CylinderProblem(lam=20.0, delta=0.3), 0.5)
     for lam in (math.nan, math.inf):
