@@ -109,8 +109,8 @@ def _higgs_terms(m: AbelianMonopole, p: CirclePoint3, tol: float) -> tuple[float
         if term.kind is Kind.EUCLIDEAN:
             d = np.array(green._offsets(p, term.center))
             rho = math.sqrt(float(d @ d))
-            if rho == 0.0:
-                raise SingularPointError("Higgs field evaluated at a singular center")
+            if not 2.0 * rho**3 >= np.finfo(float).tiny:  # green_multipole's rule: d/(2 rho^3) normal
+                raise SingularPointError(f"Higgs field evaluated at a singular center, rho={rho}")
             val -= term.charge / (2.0 * rho)
             grad += term.charge * d / (2.0 * rho**3)
     return val, grad

@@ -30,8 +30,9 @@ most pref(r) r^nu K_nu((M+1) r), and the majorants
 hold for every x > 0 because the remainder of the Hankel expansion after
 l >= nu - 1/2 terms has the sign of the first neglected term (DLMF 10.40(ii));
 that term is -1/(8x) for K0 and -15/(128 x^2) relative for K1. Every sum is sized
-by the one closed-form count ``_mode_counts``; G's rows take its nu = 0 count plus
-one as their plane count and read their M off the true K0 planes.
+by one closed-form count, ``_mode_count_core``, behind the row checks of ``_mode_counts``;
+G's rows are checked where ``green_eval_many`` forms them (r = inf raises), call the core
+with their own pref(r), and read their M off K0 planes sized by its nu = 0 count + 1.
 """
 
 from __future__ import annotations
@@ -218,9 +219,9 @@ def _tail_prefactor(r, nu: int):
     return (r if nu else 1.0) / (np.expm1(-r) * -math.pi)
 
 
-def _mode_counts(r: np.ndarray, tol, nu: int) -> np.ndarray:
-    """Mode count M = floor(x2/r) per row with pref(r) r^nu Kmaj_nu((M+1) r) <= tol,
-    never below the smallest such count, and at most one above it where x2 - x* < r.
+def _mode_count_core(r: np.ndarray, pref: np.ndarray, tol: float, nu: int) -> np.ndarray:
+    """Mode count M = floor(x2/r) per row with pref(r) r^nu Kmaj_nu((M+1) r) <= tol, never below
+    the least, at most one above it where x2 - x* < r. Only the cap is checked; pref = pref(r) r^nu.
 
     In log form the rule is g(x) = x + h(x) >= L at x = (M+1) r, h = log(x)/2 (less
     log(1 + 3/(8x)) for nu = 1), L = max(log(pref r^nu sqrt(pi/2)/tol), 2). h' > 0, so g
@@ -230,19 +231,22 @@ def _mode_counts(r: np.ndarray, tol, nu: int) -> np.ndarray:
     the rule (x2 - x* < 0.025 on a scan of L >= 2). It holds in floats too: past x0 the
     next Hankel term gives K0 <= Kmaj0 (1 - 7/(128 x)), K1 <= Kmaj1 - Kmaj0 (15/(128 x^2)
     - 105/(1024 x^3)), gaps far above the rounding of x2."""
-    r = np.asarray(r, dtype=float)
-    _require_tol(tol)
-    if not (0.0 < r.min(initial=1.0) and r.max(initial=1.0) < math.inf):
-        error = SingularPointError if (r <= 0.0).any() else ValueError
-        raise error("Fourier-Bessel rows need finite r > 0")
     def h(x):
         return 0.5 * np.log(x) - np.log1p(0.375 / x) if nu else 0.5 * np.log(x)
-
-    L = np.maximum(np.log(_tail_prefactor(r, nu)) - math.log(tol / math.sqrt(math.pi / 2.0)), 2.0)
+    L = np.maximum(np.log(pref) - math.log(tol / math.sqrt(math.pi / 2.0)), 2.0)
     M = (L - h(L - h(L))) // r
     if not M.max(initial=0.0) <= _MAX_FOURIER_TERMS:
         raise ToleranceUnreachableError(f"tol={tol} unreachable in Fourier-Bessel at r={r.min()}")
     return M.astype(int)
+
+
+def _mode_counts(r, tol, nu: int) -> np.ndarray:
+    """``_mode_count_core`` behind the row and tol checks (SingularPointError at r <= 0)."""
+    r = np.asarray(r, dtype=float)
+    _require_tol(tol)
+    if not (0.0 < r.min(initial=1.0) and r.max(initial=1.0) < math.inf):
+        raise (SingularPointError if (r <= 0.0).any() else ValueError)("rows need finite r > 0")
+    return _mode_count_core(r, _tail_prefactor(r, nu), tol, nu)
 
 
 def fourier_terms_for(r: float, tol: float) -> int:
@@ -285,14 +289,14 @@ def _fourier_bessel(dx, dy, dt, r, pref, M, planes) -> list[GreenEval]:
 
 
 def _fourier_bessel_to_tol(dx, dy, dt, r, tol) -> list[GreenEval]:
-    """G at rows r (n,), each with the fewest modes M whose certified tail
-    pref(r) K0((M+1) r) is <= tol. As K0 <= Kmaj0, plane G = ``_mode_counts`` + 1
-    meets tol; with a spare zero plane every row meets tol somewhere, and a row
-    that first does past G raises. So M <= the majorant count < G."""
-    G = _mode_counts(r, tol, 0) + 1
+    """G at rows r (n,) of finite r > 0, each with the fewest modes M whose certified
+    tail pref(r) K0((M+1) r) is <= tol. As K0 <= Kmaj0, plane G = the count + 1 meets
+    tol; with a spare zero plane every row meets tol somewhere, and a row that first
+    does past G raises. So M <= the majorant count < G."""
+    pref = _tail_prefactor(r, 0)
+    G = _mode_count_core(r, pref, tol, 0) + 1
     planes = np.empty((2, int(G.max()) + 1, r.size))
     bessel_modes(r, G, *planes)
-    pref = _tail_prefactor(r, 0)
     M = (pref * planes[0] <= tol).argmax(axis=0)
     if not (M < G).all():
         raise RuntimeError(f"a Fourier-Bessel row missed tol={tol} at its last plane")
@@ -361,6 +365,8 @@ def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
         r = math.hypot(dx, dy)
         rho = math.sqrt(dx * dx + dy * dy + dt * dt)  # same rounding as green_multipole's check
         if r > R_SWITCH:
+            if r == math.inf:  # the one row check of the Fourier-Bessel rows
+                raise ValueError(f"centre {i}: |z - q| overflows to inf, no Fourier-Bessel row")
             fb[i] = (dx, dy, dt, r)
         elif rho < RHO_SERIES:
             out[i] = green_multipole(p, q, tol)  # raises SingularPointError at the pole

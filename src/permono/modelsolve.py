@@ -79,9 +79,10 @@ def _robin_solve(x0: float, x_max: float, mesh: float, drift, pot, f, phi: float
     UnderResolvedError when the grid has fewer than _MIN_CELLS cells or
     mesh * rate > 1/4 (too coarse for e^{-rate x}).
     """
-    if not (0.0 < mesh < math.inf and math.isfinite(x0) and x0 < x_max < math.inf):
-        raise ValueError(f"mesh must be finite and > 0 on a finite interval, "
-                         f"got {mesh} on [{x0}, {x_max}]")
+    if not 0.0 < mesh < math.inf:
+        raise ValueError(f"mesh must be finite and > 0, got {mesh} on [{x0}, {x_max}]")
+    if not (math.isfinite(x0) and x0 < x_max < math.inf):
+        raise ValueError(f"the interval [{x0}, {x_max}] must be finite with x0 < x_max")
     if mesh * rate > 0.25:
         raise UnderResolvedError(f"mesh {mesh} cannot resolve e^(-{rate} x)")
     n = int(round((x_max - x0) / mesh))
@@ -115,7 +116,8 @@ def _robin_solve(x0: float, x_max: float, mesh: float, drift, pot, f, phi: float
 class CylinderProblem:
     """Dirichlet data for -u'' + u' + lambda u = f on tau >= T, in the space of
     weight e^{delta tau}. It is uniquely solvable for gamma^- < delta < gamma^+, where
-    the default delta = -0.5 lies at every lambda >= 0; a delta outside raises."""
+    the default delta = -0.5 lies at every lambda >= 0; a delta outside raises, as does
+    a non-finite lambda or T."""
 
     lam: float
     T: float = 0.0
@@ -125,6 +127,8 @@ class CylinderProblem:
 
     def __post_init__(self):
         gp, gm = gamma_roots(self.lam)
+        if not math.isfinite(self.T):
+            raise ValueError(f"T must be finite, got {self.T}")
         if not math.isfinite(self.delta):
             raise WeightRangeError(f"delta must be finite, got {self.delta}")
         if min(abs(self.delta - gp), abs(self.delta - gm)) < _EXCEPTIONAL_GUARD:

@@ -89,6 +89,17 @@ def test_higgs_euclidean_term_is_coulomb():
     assert abelian.higgs(m, p) == pytest.approx(5.0 - 1.0 / 0.5, abs=1e-14)
     with pytest.raises(SingularPointError):
         abelian.higgs(m, c)
+    # near the centre a term answers while 2 rho^3 is a normal float (green_multipole's
+    # rule): below it the gradient's d/(2 rho^3) overflows, and from rho ~ 1e-154 on
+    # the subnormal d . d costs the value its digits
+    unit = AbelianMonopole([DiracTerm(ORIGIN, 1, Kind.EUCLIDEAN)], v=1.0)
+    close = CirclePoint3(1e-100, 0.0)
+    assert abelian.higgs(unit, close) == pytest.approx(1.0 - 0.5e100, rel=1e-15)
+    np.testing.assert_allclose(abelian.higgs_gradient(unit, close), [0.5e200, 0.0, 0.0], rtol=1e-15)
+    for rho in (1e-110, 1e-160, 1e-200):
+        for field in (abelian.higgs, abelian.higgs_gradient):
+            with pytest.raises(SingularPointError):
+                field(unit, CirclePoint3(rho, 0.0))
 
 
 def test_higgs_additivity_over_terms():

@@ -623,7 +623,7 @@ def test_fourier_bessel_rows_refuse_unreachable_and_overflowing_rows():
     rows = [np.array([v]) for v in (1e-6, 0.0, 0.0, 1e-6)]
     with pytest.raises(ToleranceUnreachableError):  # about 7e8 planes
         green._fourier_bessel_to_tol(*rows, 1e-300)
-    with pytest.raises(ValueError):  # |z - q| overflows to inf from finite points
+    with pytest.raises(ValueError, match="overflows to inf"):  # |z - q| from finite points
         green.green_eval(CirclePoint3(1e308, 0.0), CirclePoint3(-1e308, 0.0))
 
 

@@ -130,6 +130,12 @@ def test_cylinder_guards():
     for delta in (math.nan, math.inf, -math.inf):
         with pytest.raises(WeightRangeError, match="finite"):
             ms.CylinderProblem(lam=1.0, delta=delta)
+    for T in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="T must be finite"):
+            ms.CylinderProblem(lam=1.0, T=T)
+    # a finite T so large that T + window rounds to T: the interval is named, not the mesh
+    with pytest.raises(ValueError, match=r"interval \[1e\+300, 1e\+300\]"):
+        ms.cylinder_solve(ms.CylinderProblem(lam=1.0, T=1e300), 1e-2)
     # too few cells for the grid and its decay fit (the window is 20 at lam = 0)
     for mesh in (100.0, 3.0, 1.0):
         with pytest.raises(UnderResolvedError):
