@@ -107,12 +107,10 @@ def _higgs_terms(m: AbelianMonopole, p: CirclePoint3, tol: float) -> tuple[float
         grad += term.charge * g.grad
     for term in m.terms:
         if term.kind is Kind.EUCLIDEAN:
-            d = np.array(green._offsets(p, term.center))
-            rho = math.sqrt(float(d @ d))
-            if not 2.0 * rho**3 >= np.finfo(float).tiny:  # green_multipole's rule: d/(2 rho^3) normal
-                raise SingularPointError(f"Higgs field evaluated at a singular center, rho={rho}")
+            d = green._offsets(p, term.center)
+            rho = green._pole_distance(*d)  # G's pole rule; rho^3 a product, inf far away
             val -= term.charge / (2.0 * rho)
-            grad += term.charge * d / (2.0 * rho**3)
+            grad += term.charge * np.array(d) / (2.0 * rho * rho * rho)
     return val, grad
 
 
@@ -264,13 +262,11 @@ def euclidean_limit_profile(r: float, t: float) -> float:
     (1/lam) sum_{j>=1} zeta(2j+1) (rho/lam)^2j P_2j(t/rho)/(2 pi)^(2j+1), G's
     regular part scaled, and |P_2j| <= 1, zeta(2j+1) <= zeta(3).
 
-    Raises ValueError unless r and t are finite, and SingularPointError at
-    (0, 0)."""
+    Raises ValueError unless r and t are finite, and SingularPointError at the
+    pole, where G's rule (``green._pole_distance``) refuses rho."""
     if not (math.isfinite(r) and math.isfinite(t)):
         raise ValueError(f"r and t must be finite, got ({r}, {t})")
-    if r == t == 0.0:
-        raise SingularPointError("Euclidean profile evaluated at its singular point")
-    return 1.0 - 0.5 / math.hypot(r, t)
+    return 1.0 - 0.5 / green._pole_distance(r, t, 0.0)
 
 
 def _grid_planes(m: AbelianMonopole, X: np.ndarray, Y: np.ndarray, T: np.ndarray, h: float):

@@ -29,10 +29,10 @@ most pref(r) r^nu K_nu((M+1) r), and the majorants
 
 hold for every x > 0 because the remainder of the Hankel expansion after
 l >= nu - 1/2 terms has the sign of the first neglected term (DLMF 10.40(ii));
-that term is -1/(8x) for K0 and -15/(128 x^2) relative for K1. Every sum is sized
-by one closed-form count, ``_mode_count_core``, behind the row checks of ``_mode_counts``;
-G's rows are checked where ``green_eval_many`` forms them (r = inf raises), call the core
-with their own pref(r), and read their M off K0 planes sized by its nu = 0 count + 1.
+that term is -1/(8x) for K0 and -15/(128 x^2) relative for K1. Every sum, G's rows
+included, takes exactly one closed-form count, ``_mode_count_core``, behind the row checks
+of ``_mode_counts``; G's rows are checked where ``green_eval_many`` forms them (r = inf
+raises) and call the core with their own pref(r).
 """
 
 from __future__ import annotations
@@ -138,6 +138,16 @@ def _offsets(p: CirclePoint3, q: CirclePoint3) -> tuple[float, float, float]:
     return dz.real, dz.imag, reduce_angle_signed(p.t - q.t)
 
 
+def _pole_distance(dx: float, dy: float, dt: float) -> float:
+    """rho = sqrt(dx dx + dy dy + dt dt) behind the one pole rule of the point evaluators:
+    SingularPointError unless 2 rho^3, the denominator of the pole's gradient d/(2 rho^3),
+    is at least the smallest normal float. rho^3 is a product, so a huge rho gives inf."""
+    rho = math.sqrt(dx * dx + dy * dy + dt * dt)
+    if not 2.0 * rho * rho * rho >= np.finfo(float).tiny:
+        raise SingularPointError(f"point at a pole, rho={rho}: 2 rho^3 is not a normal float")
+    return rho
+
+
 def image_tail_constant(r: float, dt: float) -> float:
     """C(r, dt) = max(2 dt^2, r^2)/(32 pi^3), with tail(M) <= C(r, dt)/M^2 for
     the paired image sum at every M >= 1; r >= 0 and |dt| <= pi.
@@ -169,9 +179,8 @@ def green_image_sum(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 1000) ->
     if M > _MAX_IMAGE_TERMS:
         raise ValueError(f"M={M} image pairs exceed _MAX_IMAGE_TERMS={_MAX_IMAGE_TERMS}")
     dx, dy, dt = _offsets(p, q)
+    d0 = _pole_distance(dx, dy, dt)
     r2 = dx * dx + dy * dy
-    if r2 == 0.0 and dt == 0.0:
-        raise SingularPointError("image sum evaluated at its singular point")
     bound = image_tail_constant(math.sqrt(r2), dt) / (M * M)
 
     B = min(M, _IMAGE_BLOCK)
@@ -204,7 +213,6 @@ def green_image_sum(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 1000) ->
         up += dn
         moment += float(up.sum())
 
-    d0 = math.sqrt(r2 + dt * dt)
     value = -0.5 * ((1.0 / d0 - A0) + pair)
     s3 = cube + d0**-3
     gx = 0.5 * dx * s3
@@ -250,7 +258,7 @@ def _mode_counts(r, tol, nu: int) -> np.ndarray:
 
 
 def fourier_terms_for(r: float, tol: float) -> int:
-    """``_mode_counts`` at nu = 0 for one r; G's rows may take fewer (their true K0 tail)."""
+    """``_mode_counts`` at nu = 0 for one r: the count G's Fourier-Bessel row takes at r."""
     return int(_mode_counts(np.array([r]), tol, 0)[0])
 
 
@@ -267,15 +275,16 @@ def bessel_modes(r: np.ndarray, M: np.ndarray, k0: np.ndarray, k1: np.ndarray) -
     k1[keep] = specfn.bessel_k1(x)
 
 
-def _fourier_bessel(dx, dy, dt, r, pref, M, planes) -> list[GreenEval]:
-    """G and its gradient at rows r (n,) from M (n,) modes each, out of the
-    stacked planes (k0, k1) of K0(m r), K1(m r), filled for m <= M + 1 at
-    least: the certified tail pref(r) K0((M+1) r) is read from each row's
-    plane M + 1, and the planes from M + 1 on are zeroed in place."""
+def _fourier_bessel(dx, dy, dt, r, pref, M) -> list[GreenEval]:
+    """G and its gradient at rows r (n,) of finite r > 0 from M (n,) modes each, with
+    pref = pref(r): the one Fourier-Bessel row evaluator. One ``bessel_modes`` call fills
+    K0(m r), K1(m r) for m <= M + 1; the certified tail pref(r) K0((M+1) r) is read off
+    each row's plane M + 1, which is then zeroed."""
     P = int(M.max()) + 1
     m = np.arange(1.0, P + 1.0)
-    bound = pref * planes[0, M, np.arange(r.size)]
-    k0, k1 = planes = planes[:, :P]
+    k0, k1 = planes = np.empty((2, P, r.size))
+    bessel_modes(r, M + 1, k0, k1)
+    bound = pref * k0[M, np.arange(r.size)]
     planes *= np.less_equal.outer(m, M)
     mt = np.multiply.outer(m, dt)
     c = np.cos(mt)
@@ -288,21 +297,6 @@ def _fourier_bessel(dx, dy, dt, r, pref, M, planes) -> list[GreenEval]:
             for v, g, b, n in zip(value.tolist(), grad, bound.tolist(), M.tolist())]
 
 
-def _fourier_bessel_to_tol(dx, dy, dt, r, tol) -> list[GreenEval]:
-    """G at rows r (n,) of finite r > 0, each with the fewest modes M whose certified
-    tail pref(r) K0((M+1) r) is <= tol. As K0 <= Kmaj0, plane G = the count + 1 meets
-    tol; with a spare zero plane every row meets tol somewhere, and a row that first
-    does past G raises. So M <= the majorant count < G."""
-    pref = _tail_prefactor(r, 0)
-    G = _mode_count_core(r, pref, tol, 0) + 1
-    planes = np.empty((2, int(G.max()) + 1, r.size))
-    bessel_modes(r, G, *planes)
-    M = (pref * planes[0] <= tol).argmax(axis=0)
-    if not (M < G).all():
-        raise RuntimeError(f"a Fourier-Bessel row missed tol={tol} at its last plane")
-    return _fourier_bessel(dx, dy, dt, r, pref, M, planes)
-
-
 def green_fourier_bessel(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 60) -> GreenEval:
     """Log plus Bessel-mode expansion with M modes; requires r = |z - z_q| > 0."""
     M = require_integer("M", M, least=0)
@@ -313,9 +307,7 @@ def green_fourier_bessel(p: CirclePoint3, q: CirclePoint3 = ORIGIN, M: int = 60)
     if r == 0.0:
         raise SingularPointError("Fourier-Bessel regime requires r > 0")
     dx, dy, dt, r, M = (np.array([v]) for v in (dx, dy, dt, r, M))
-    planes = np.empty((2, M[0] + 1, 1))
-    bessel_modes(r, M + 1, *planes)
-    return _fourier_bessel(dx, dy, dt, r, _tail_prefactor(r, 0), M, planes)[0]
+    return _fourier_bessel(dx, dy, dt, r, _tail_prefactor(r, 0), M)[0]
 
 
 def green_multipole(p: CirclePoint3, q: CirclePoint3 = ORIGIN, tol: float = 1e-10) -> GreenEval:
@@ -325,9 +317,7 @@ def green_multipole(p: CirclePoint3, q: CirclePoint3 = ORIGIN, tol: float = 1e-1
     (n+1) R_{n+1} = (2n+1) dt R_n - n rho^2 R_{n-1} - 2n S_{n-1}, R_0 = R_1 = 0."""
     _require_tol(tol)
     dx, dy, dt = _offsets(p, q)
-    rho = math.sqrt(dx * dx + dy * dy + dt * dt)
-    if not 2.0 * rho**3 >= np.finfo(float).tiny:  # rho = 0, or grad's 1/(2 rho^3) subnormal
-        raise SingularPointError(f"multipole model evaluated at its singular point, rho={rho}")
+    rho = _pole_distance(dx, dy, dt)
     if rho >= RHO_SERIES:
         raise OutOfRegimeError(f"multipole regime requires rho < pi/2, got rho={rho}")
     x = (rho / TWO_PI) ** 2
@@ -363,13 +353,13 @@ def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
     for i, q in enumerate(centers):
         dx, dy, dt = _offsets(p, q)
         r = math.hypot(dx, dy)
-        rho = math.sqrt(dx * dx + dy * dy + dt * dt)  # same rounding as green_multipole's check
+        rho = _pole_distance(dx, dy, dt)
         if r > R_SWITCH:
             if r == math.inf:  # the one row check of the Fourier-Bessel rows
                 raise ValueError(f"centre {i}: |z - q| overflows to inf, no Fourier-Bessel row")
             fb[i] = (dx, dy, dt, r)
         elif rho < RHO_SERIES:
-            out[i] = green_multipole(p, q, tol)  # raises SingularPointError at the pole
+            out[i] = green_multipole(p, q, tol)
         else:
             M = math.ceil(math.sqrt(image_tail_constant(r, dt) / tol))
             if M > _MAX_IMAGE_TERMS:
@@ -377,8 +367,10 @@ def green_eval_many(p: CirclePoint3, centers: list[CirclePoint3],
             out[i] = green_image_sum(p, q, M)
     if fb:
         dx, dy, dt, r = np.array(list(fb.values())).T
-        evals = _fourier_bessel_to_tol(dx, dy, dt, r, tol)
-        for i, g in zip(fb, evals):
+        pref = _tail_prefactor(r, 0)
+        for i, g in zip(fb, _fourier_bessel(dx, dy, dt, r, pref, _mode_count_core(r, pref, tol, 0))):
+            if not g.trunc_bound <= tol:  # the count meets tol by K0's majorant: a wrong K0
+                raise RuntimeError(f"a Fourier-Bessel row missed tol={tol} at its count")
             out[i] = g
     return out
 

@@ -96,10 +96,11 @@ def circle_act(p: Quat4Point, s: float) -> Quat4Point:
 
 
 def gh_potential(p: Quat4Point) -> float | np.ndarray:
-    """h = 1/(2 rho): a float, or an array of the points' shape."""
+    """h = 1/(2 rho): a float, or an array of the points' shape. OutOfRegimeError
+    where rho is below the smallest normal float (0, or 1/(2 rho) not finite)."""
     rho = p.rho
-    if np.any(rho == 0.0):
-        raise OutOfRegimeError("Gibbons-Hawking data undefined at the origin")
+    if np.any(rho < np.finfo(float).tiny):
+        raise OutOfRegimeError(f"Gibbons-Hawking data undefined at the origin, rho={np.min(rho)}")
     return 0.5 / rho
 
 

@@ -64,8 +64,8 @@ def mode_count(r: float, tol: float, nu: int) -> int:
 def fourier_bessel_count(r: float, tol: float) -> int:
     """The smallest M >= 0 whose tail bound pref(r) K0((M+1) r) <= tol, with
     the true K0 of scipy and pref(r) = 1/(pi (1 - e^{-r})) in pure math, found
-    by stepping M up from 0: the reference of the counts of G's
-    Fourier-Bessel rows, which read them off the package's K0 planes."""
+    by stepping M up from 0: the fewest count, which the closed-form count
+    of G's Fourier-Bessel rows meets or exceeds by at most one."""
     pref = 1.0 / (math.pi * -math.expm1(-r))
     M = 0
     while pref * float(special.k0((M + 1) * r)) > tol:

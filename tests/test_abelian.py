@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -89,9 +90,9 @@ def test_higgs_euclidean_term_is_coulomb():
     assert abelian.higgs(m, p) == pytest.approx(5.0 - 1.0 / 0.5, abs=1e-14)
     with pytest.raises(SingularPointError):
         abelian.higgs(m, c)
-    # near the centre a term answers while 2 rho^3 is a normal float (green_multipole's
-    # rule): below it the gradient's d/(2 rho^3) overflows, and from rho ~ 1e-154 on
-    # the subnormal d . d costs the value its digits
+    # near the centre a term answers while 2 rho^3 is a normal float (G's pole rule,
+    # green._pole_distance): below it the gradient's d/(2 rho^3) overflows, and from
+    # rho ~ 1e-154 on the subnormal d . d costs the value its digits
     unit = AbelianMonopole([DiracTerm(ORIGIN, 1, Kind.EUCLIDEAN)], v=1.0)
     close = CirclePoint3(1e-100, 0.0)
     assert abelian.higgs(unit, close) == pytest.approx(1.0 - 0.5e100, rel=1e-15)
@@ -100,6 +101,21 @@ def test_higgs_euclidean_term_is_coulomb():
         for field in (abelian.higgs, abelian.higgs_gradient):
             with pytest.raises(SingularPointError):
                 field(unit, CirclePoint3(rho, 0.0))
+
+
+def test_euclidean_term_far_away_and_profile_at_the_pole():
+    # 2 rho^3 is formed as a product, so far from a term (rho^3 overflows at 1e103,
+    # d . d at 1e200) the term is finite with no warning, never an OverflowError
+    unit = AbelianMonopole([DiracTerm(ORIGIN, 1, Kind.EUCLIDEAN)], v=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e103, 1e200):
+            p = CirclePoint3(complex(x, -x), x)
+            assert abelian.higgs(unit, p) == 1.0
+            assert np.isfinite(abelian.higgs_gradient(unit, p)).all()
+    with pytest.raises(SingularPointError):  # G's pole rule, not -inf
+        abelian.euclidean_limit_profile(1e-320, 0.0)
+    assert abelian.euclidean_limit_profile(1e-100, 0.0) == 1.0 - 0.5e100
 
 
 def test_higgs_additivity_over_terms():

@@ -220,6 +220,18 @@ def test_multipole_domain_errors():
         green.green_eval(CirclePoint3(0.0, 3e-133), ORIGIN)
 
 
+def test_pole_rule_is_one_rule_at_every_scale():
+    # SingularPointError wherever 2 rho^3 is not a normal float, in the image sum too
+    # (not an OverflowError at 1e-104 or a ZeroDivisionError at 1e-320); rho^3 is a
+    # product, so the series refuses a far point as out of its regime
+    for rho in (1e-104, 1e-320):
+        with pytest.raises(SingularPointError):
+            green.green_image_sum(CirclePoint3(0.0, rho), ORIGIN, 10)
+    assert math.isfinite(green.green_image_sum(CirclePoint3(0.0, 1e-100), ORIGIN, 10).value)
+    with pytest.raises(OutOfRegimeError):
+        green.green_multipole(CirclePoint3(1e103, 0.0), ORIGIN)
+
+
 @pytest.mark.parametrize("rho, tol", [
     (1e-6, 1e-13),      # the K = 0 bound 5e-15 meets tol, but one ulp of |G| is 5.8e-11
     (0.09, 9.99e-13),
@@ -559,10 +571,10 @@ def test_mode_counts_match_linear_rule_oracle(data, nu, log_tol, shape):
 
 @settings(max_examples=150, deadline=None)
 @given(r=st.floats(0.05, 20.0), t=st.floats(0.0, TWO_PI), log_tol=st.floats(-15.0, -2.0))
-@example(r=1.0, t=0.3, log_tol=-5.5)  # 10 modes meet tol, the majorant needs 11
+@example(r=1.0, t=0.3, log_tol=-5.5)  # 10 modes meet tol, the majorant count is 11
 def test_fourier_bessel_bound_is_the_next_mode(r, t, log_tol):
-    # the M-mode sum reports pref(r) K0((M+1) r); G's FB rows take the fewest modes
-    # whose reported bound meets tol, never more than the majorant count
+    # the M-mode sum reports pref(r) K0((M+1) r); G's FB rows take the majorant
+    # count M, at least the fewest count that meets tol and at most one above it
     tol = 10.0**log_tol
     M = green.fourier_terms_for(r, tol)
     p = CirclePoint3(complex(r), t)
@@ -570,48 +582,48 @@ def test_fourier_bessel_bound_is_the_next_mode(r, t, log_tol):
     g = green.green_fourier_bessel(p, ORIGIN, M)
     assert g.terms == M
     assert g.trunc_bound == pref * specfn.bessel_k0((M + 1) * r) <= tol
+    n = oracles.fourier_bessel_count(r, tol)
+    assert n <= M <= n + 1
     if r > green.R_SWITCH:
         e = green.green_eval(p, ORIGIN, tol)
-        n = e.terms
-        assert e.regime is Regime.FOURIER_BESSEL and n <= M
-        assert n == 0 or pref * specfn.bessel_k0(n * r) > tol  # n - 1 modes miss tol
-        assert e.trunc_bound == pref * specfn.bessel_k0((n + 1) * r) <= tol
-        f = green.green_fourier_bessel(p, ORIGIN, n)
-        assert e.value == f.value and (e.grad == f.grad).all() and e.trunc_bound == f.trunc_bound
+        assert e.regime is Regime.FOURIER_BESSEL and e.terms == M
+        assert e.value == g.value and (e.grad == g.grad).all() and e.trunc_bound == g.trunc_bound
 
 
 @settings(max_examples=150, deadline=None)
 @given(rows=st.lists(st.tuples(st.floats(0.5, 20.0, exclude_min=True), st.floats(0.0, TWO_PI)),
                      min_size=1, max_size=3),
        log_tol=st.floats(-15.0, -2.0))
-# rows whose plane count G is M + 2: M = 10 of G = 12, 8 of 10 and 0 of 2
+# rows whose count is one above the fewest that meets tol: 11 of 10, 9 of 8 and 1 of 0
 @example(rows=[(1.0, 0.3)], log_tol=-5.5)
 @example(rows=[(0.65, 1.0)], log_tol=-3.0)
 @example(rows=[(3.65, 2.0)], log_tol=-2.25)
-def test_fourier_bessel_rows_take_the_first_count_that_meets_tol(rows, log_tol):
-    # 1-3 centres at mixed r share one plane stack; each row's count is the oracle's,
-    # stepped on scipy's K0, and its bound is the tail at that count
+def test_fourier_bessel_rows_take_the_closed_form_count(rows, log_tol):
+    # 1-3 centres at mixed r share one plane stack; each row takes fourier_terms_for's
+    # count, at most one above the oracle's (stepped on scipy's K0), and its bound is
+    # the tail at that count
     tol = 10.0**log_tol
     evals = green.green_eval_many(ORIGIN, [CirclePoint3(-r, t) for r, t in rows], tol)
     for (r, _), e in zip(rows, evals):
-        M = oracles.fourier_bessel_count(r, tol)
-        assert e.regime is Regime.FOURIER_BESSEL and e.terms == M
+        M, n = green.fourier_terms_for(r, tol), oracles.fourier_bessel_count(r, tol)
+        assert e.regime is Regime.FOURIER_BESSEL and e.terms == M and n <= M <= n + 1
         assert e.trunc_bound == green._tail_prefactor(r, 0) * specfn.bessel_k0((M + 1) * r) <= tol
 
 
-def test_fourier_bessel_row_at_a_loose_tol_takes_no_mode():
-    # tol so large that log(pref sqrt(pi/2)/tol) < 1: the clamp of L at 2 may add
-    # planes, but the first meets tol, so the row takes no mode
+def test_fourier_bessel_row_at_a_loose_tol_takes_the_clamped_count():
+    # tol so large that log(pref sqrt(pi/2)/tol) < 1: no mode is needed, but L is
+    # clamped at 2, and the row takes the clamped count
     r, tol = 0.6, 1.0
     assert math.log(green._tail_prefactor(r, 0) * math.sqrt(math.pi / 2.0) / tol) < 1.0
     e = green.green_eval_many(ORIGIN, [CirclePoint3(-r, 0.4)], tol)[0]
-    assert e.terms == 0 == oracles.fourier_bessel_count(r, tol)
-    assert e.trunc_bound == green._tail_prefactor(r, 0) * specfn.bessel_k0(r) <= tol
+    assert oracles.fourier_bessel_count(r, tol) == 0
+    assert e.terms == green.fourier_terms_for(r, tol) == 2
+    assert e.trunc_bound == green._tail_prefactor(r, 0) * specfn.bessel_k0(3 * r) <= tol
 
 
 def test_fourier_bessel_row_that_misses_tol_raises(monkeypatch):
-    # plane G meets tol by the majorant; a K0 1e6 times too large misses it in every
-    # row, which must raise, never report M = 0 or the bound of a zeroed plane
+    # the count meets tol by the majorant; a K0 1e6 times too large misses it in every
+    # row, which must raise, never report a bound above tol
     monkeypatch.setattr(specfn, "bessel_k0", lambda x, k0=specfn.bessel_k0: 1e6 * k0(x))
     centres = [CirclePoint3(-0.7, 0.0), CirclePoint3(-6.0, 1.0)]
     for some in (centres[:1], centres):
@@ -620,9 +632,9 @@ def test_fourier_bessel_row_that_misses_tol_raises(monkeypatch):
 
 
 def test_fourier_bessel_rows_refuse_unreachable_and_overflowing_rows():
-    rows = [np.array([v]) for v in (1e-6, 0.0, 0.0, 1e-6)]
-    with pytest.raises(ToleranceUnreachableError):  # about 7e8 planes
-        green._fourier_bessel_to_tol(*rows, 1e-300)
+    r = np.array([1e-6])
+    with pytest.raises(ToleranceUnreachableError):  # about 7e8 planes, refused before any
+        green._mode_count_core(r, green._tail_prefactor(r, 0), 1e-300, 0)
     with pytest.raises(ValueError, match="overflows to inf"):  # |z - q| from finite points
         green.green_eval(CirclePoint3(1e308, 0.0), CirclePoint3(-1e308, 0.0))
 

@@ -13,6 +13,21 @@ from permono.errors import OutOfRegimeError
 from permono.hopf import Quat4Point
 
 
+def test_gibbons_hawking_data_refuse_a_subnormal_rho():
+    # at rho = 1e-320 1/(2 rho) is not finite: all three refuse, as at rho = 0,
+    # at a point and in an array of points; rho = 1e-300 still answers
+    a = [0.1, 0.2, 0.3]
+    fns = (hopf.gh_potential, hopf.gibbons_hawking_connection, lambda q: hopf.lift_form(a, 0.5, q))
+    for p in (Quat4Point(0.0, 0.0), Quat4Point(1e-160, 0.0), Quat4Point(0.0, 1e-160j),
+              Quat4Point(np.array([1.0, 1e-160]), np.zeros(2))):
+        for fn in fns:
+            with pytest.raises(OutOfRegimeError):
+                fn(p)
+    p = Quat4Point(1e-150, 0.0)
+    assert hopf.gh_potential(p) == 0.5 / 1e-300
+    assert all(np.isfinite(fn(p)).all() for fn in fns)
+
+
 def rand_points(n, seed, lo=0.25, hi=1.2):
     rng = np.random.default_rng(seed)
     pts = []
