@@ -77,10 +77,6 @@ class AbelianMonopole:
         return sum(t.charge for t in self.terms if t.kind is Kind.PERIODIC)
 
 
-def vacuum(v: float, b: float = 0.0) -> AbelianMonopole:
-    return AbelianMonopole([], v, b)
-
-
 @dataclass
 class FieldSample:
     """Higgs value (-i Phi) and radial-gauge connection coefficients."""
@@ -248,16 +244,12 @@ class RescaledPair:
         return higgs(self.monopole, p, tol) / self.lam
 
 
-def rescale(m: AbelianMonopole, lam: float) -> RescaledPair:
-    return RescaledPair(m, lam)
-
-
 def euclidean_limit_profile(r: float, t: float) -> float:
     """Unit-mass Euclidean Dirac profile 1 - 1/(2 rho), rho = sqrt(r^2 + t^2):
     the pointwise limit of the rescaled periodic monopole as v -> infinity.
 
     For a unit charge at the origin, lam = v + a0/2 and rho < pi lam,
-    |rescale(m, lam).higgs(z, t) - profile| <= zeta(3)/(2 pi lam) x/(1 - x),
+    |RescaledPair(m, lam).higgs(z, t) - profile| <= zeta(3)/(2 pi lam) x/(1 - x),
     x = (rho/(2 pi lam))^2: the rescaled field is the profile minus
     (1/lam) sum_{j>=1} zeta(2j+1) (rho/lam)^2j P_2j(t/rho)/(2 pi)^(2j+1), G's
     regular part scaled, and |P_2j| <= 1, zeta(2j+1) <= zeta(3).

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the one integer check of
-charges and counts."""
+charges and counts. An argument that is out of range but has no type of its
+own here (a mode, a mass, a mesh, a radius) raises a plain ValueError."""
 
 import operator
 
@@ -14,10 +15,6 @@ class OutOfRegimeError(ValueError):
 
 class ExceptionalWeightError(ValueError):
     """Weight coincides with an indicial root; the model problem is degenerate."""
-
-
-class CoercivityError(ValueError):
-    """Nonpositive coercivity constant supplied to a screened solver."""
 
 
 class WeightRangeError(ValueError):

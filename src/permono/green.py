@@ -103,14 +103,6 @@ class CirclePoint3:
     def distance(self, other: "CirclePoint3") -> float:
         return math.hypot(*_offsets(self, other))
 
-    @property
-    def x(self) -> float:
-        return self.z.real
-
-    @property
-    def y(self) -> float:
-        return self.z.imag
-
 
 ORIGIN = CirclePoint3(0.0, 0.0)
 

@@ -47,15 +47,18 @@ _AXIS_EPS = 1e-8
 @dataclass
 class Quat4Point:
     """A point of R^4 = C^2, or an array of points: z1 and z2 are complex
-    scalars or complex arrays of one shape."""
+    scalars or complex arrays of one shape, with rho = |z1|^2 + |z2|^2 finite
+    (so |p| < sqrt(DBL_MAX), about 1.34e154), else ValueError."""
 
     z1: complex | np.ndarray
     z2: complex | np.ndarray
 
     def __post_init__(self):
         z1, z2 = np.asarray(self.z1, dtype=complex), np.asarray(self.z2, dtype=complex)
-        if z1.shape != z2.shape or not (np.isfinite(z1).all() and np.isfinite(z2).all()):
-            raise ValueError(f"point coordinates must be finite, of one shape, got ({self.z1}, {self.z2})")
+        with np.errstate(over="ignore"):  # rho is not finite where it overflows or a coordinate is not
+            rho = np.abs(z1) ** 2 + np.abs(z2) ** 2 if z1.shape == z2.shape else math.nan
+        if not np.isfinite(rho).all():
+            raise ValueError(f"coordinates and rho must be finite, of one shape, got ({self.z1}, {self.z2})")
         self.z1, self.z2 = (complex(z1), complex(z2)) if z1.ndim == 0 else (z1, z2)
 
     @property
@@ -111,16 +114,16 @@ def gibbons_hawking_connection(p: Quat4Point) -> np.ndarray:
 
 
 def lift_form(a, psi: float, p: Quat4Point) -> np.ndarray:
-    """Lift of a pair (1-form a on R^3, scalar psi):
-    pi^* a - (psi/h) theta0, with |lift|^2 = h^{-1}(|a|^2 + psi^2) exactly;
-    at an array of points, the lift of the same pair at each."""
+    """Lift of a pair (1-form a on R^3, scalar psi): pi^* a - (psi/h) theta0,
+    formed as pi^* a - 2 psi T, T = ``fiber_tangent(p)``, since theta0 = 2 h T;
+    |lift|^2 = h^{-1}(|a|^2 + psi^2) exactly. No h is formed, so the lift is 0
+    at the origin; at an array of points, the lift of the same pair at each."""
     a = np.asarray(a, dtype=float)
     if a.shape != (3,):
         raise ValueError("a must be a 3-component base covector")
     if not (math.isfinite(psi) and np.isfinite(a).all()):
         raise ValueError(f"a and psi must be finite, got a={a}, psi={psi}")
-    pullback = np.tensordot(a, projection_jacobian(p), axes=(0, 0))
-    return pullback - (psi / gh_potential(p)) * gibbons_hawking_connection(p)
+    return np.tensordot(a, projection_jacobian(p), axes=(0, 0)) - 2.0 * psi * fiber_tangent(p)
 
 
 def _chart(p: Quat4Point, chart: str) -> bool | np.ndarray:

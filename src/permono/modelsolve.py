@@ -20,7 +20,7 @@ condition. Resolution rule: each solve passes the rate of its decaying branch
 
 All solvers fit their decay by one rule (``_log_slope``): the least-squares
 slope of log|u| over the tail-window nodes with |u| > 1e-280, nan when fewer
-than 8 qualify.
+than 8 qualify; the screened window keeps only nodes where f is negligible.
 """
 
 from __future__ import annotations
@@ -32,13 +32,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import (
-    CoercivityError,
-    ExceptionalWeightError,
-    UnderResolvedError,
-    WeightRangeError,
-    require_integer,
-)
+from .errors import ExceptionalWeightError, UnderResolvedError, WeightRangeError, require_integer
 
 _EXCEPTIONAL_GUARD = 1e-9
 
@@ -169,9 +163,10 @@ def cylinder_solve(p: CylinderProblem, mesh: float) -> CylinderSolution:
 class Sector:
     """An exterior sector as the angular mode n and screening mass mu^2 of its
     model equation -u'' - u'/r + (n^2/r^2 + mu^2) u = f, checked where it is
-    built: an integer n (ValueError) and a finite mu^2 >= 0 (CoercivityError).
+    built: an integer n and a finite mu^2 >= 0, each a ValueError otherwise.
     mu = 0 is the harmonic diagonal problem; the oscillatory sector of circle
-    mode k has mu^2 = k^2, the off-diagonal sector of coercivity c > 0 mu^2 = c."""
+    mode k has mu^2 = k^2, the off-diagonal sector of coercivity c > 0 is
+    Sector(0, c)."""
 
     mode: int
     mass_sq: float
@@ -179,7 +174,7 @@ class Sector:
     def __post_init__(self):
         require_integer("mode", self.mode)
         if not 0.0 <= self.mass_sq < math.inf:
-            raise CoercivityError(f"mass_sq must be finite and >= 0, got {self.mass_sq}")
+            raise ValueError(f"mass_sq must be finite and >= 0, got {self.mass_sq}")
 
     @staticmethod
     def diagonal_invariant(angular_mode: int = 0) -> "Sector":
@@ -191,26 +186,21 @@ class Sector:
             raise ValueError("oscillatory sector needs a nonzero circle mode")
         return Sector(0, float(mode * mode))
 
-    @staticmethod
-    def off_diagonal(coercivity: float) -> "Sector":
-        if not 0.0 < coercivity < math.inf:
-            raise CoercivityError(f"coercivity must be finite and > 0, got {coercivity}")
-        return Sector(0, float(coercivity))
-
 
 @dataclass
 class ExteriorModeProblem:
+    """Data of a sector's model equation on r >= R: the source f (None is
+    f = 0) and the Dirichlet value u(R) = phi. It carries no weight: each
+    solve picks its bounded or decaying branch by its far condition."""
+
     sector: Sector
     R: float
-    delta: float = -0.5
     f: Callable[[np.ndarray], np.ndarray] | None = None
     phi: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.R < math.inf:
             raise ValueError(f"R must be positive and finite, got {self.R}")
-        if not math.isfinite(self.delta):
-            raise WeightRangeError(f"delta must be finite, got {self.delta}")
 
 
 @dataclass
@@ -225,11 +215,9 @@ def exterior_diagonal_solve(p: ExteriorModeProblem, mesh: float) -> ExteriorSolu
     """Harmonic-mode exterior problem on [R, 10R] for the circle-invariant
     diagonal sector: -u'' - u'/r + (n^2/r^2) u = f. The far condition selects
     the bounded branch: a constant for n = 0 (log growth rejected), r^{-n}
-    for n >= 1."""
+    for n >= 1; no weight enters."""
     if p.sector.mass_sq != 0.0:
         raise ValueError("exterior_diagonal_solve needs the unscreened sector, mu = 0")
-    if not (-1.0 < p.delta < 0.0):
-        raise WeightRangeError(f"delta={p.delta} outside (-1, 0)")
     n_mode = abs(p.sector.mode)
     r_max = 10.0 * p.R
     r, u, h = _robin_solve(p.R, r_max, mesh, lambda r: -1.0 / r, lambda r: (n_mode / r) ** 2,
@@ -255,7 +243,9 @@ def exterior_coercive_solve(p: ExteriorModeProblem, mesh: float) -> CoerciveSolu
     sector with mu > 0, with the decaying Bessel-type far condition
     u'/u = -(mu + 1/(2r)). Reports the energy ratio
     (|u'|^2 + (mu^2 + n^2/r^2) u^2 measure r dr) / |f|^2, inf when only f = 0,
-    and the fitted exponential decay slope of sqrt(r) u beyond the source support."""
+    and the fitted exponential decay slope of sqrt(r) u beyond the source
+    support, at the nodes where |f| <= 1e-14 mu^2 |u|: where u ~ f/mu^2 still
+    follows the source the slope would be the source's."""
     if not p.sector.mass_sq > 0.0:
         raise ValueError("exterior_coercive_solve needs a screened sector, mu > 0")
     mu, n_mode = math.sqrt(p.sector.mass_sq), abs(p.sector.mode)
@@ -272,7 +262,7 @@ def exterior_coercive_solve(p: ExteriorModeProblem, mesh: float) -> CoerciveSolu
     ratio = energy_u / energy_f if energy_f > 0.0 else math.inf if energy_u > 0.0 else 0.0
     supp = np.nonzero(np.abs(f_all) > 1e-14 * max(np.abs(f_all).max(), 1e-300))[0]
     fit_lo = r[supp[-1]] + 1.0 if supp.size else p.R + 1.0
-    sel = (r >= fit_lo) & (r <= r_max - 2.0)
+    sel = (r >= fit_lo) & (r <= r_max - 2.0) & (np.abs(f_all) <= 1e-14 * mu * mu * np.abs(u))
     slope = _log_slope(r[sel], np.sqrt(r[sel]) * u[sel])
     return CoerciveSolution(r, u, mu, energy_u, energy_f, ratio, slope, h)
 

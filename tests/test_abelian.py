@@ -61,7 +61,7 @@ def test_term_kind_must_be_a_kind(kind):
 
 
 def test_higgs_vacuum_everywhere():
-    m = abelian.vacuum(2.5, 0.7)
+    m = AbelianMonopole([], 2.5, 0.7)
     for p in (CirclePoint3(1.0, 0.0), CirclePoint3(-3.0 + 2.0j, 4.0)):
         assert abelian.higgs(m, p) == 2.5
 
@@ -214,7 +214,8 @@ def test_higgs_is_vacuum_plus_charge_weighted_green():
             want += term.charge * g.value
             want_grad += term.charge * g.grad
         e = m.terms[3]
-        d = np.array([p.x - e.center.x, p.y - e.center.y, green.reduce_angle_signed(p.t - e.center.t)])
+        dz = p.z - e.center.z
+        d = np.array([dz.real, dz.imag, green.reduce_angle_signed(p.t - e.center.t)])
         rho = np.linalg.norm(d)
         want += 1.0 / (2.0 * rho)
         want_grad -= d / (2.0 * rho**3)
@@ -444,8 +445,8 @@ def test_holonomy_integral_route_matches():
     three = three_term_monopole()
     for z in (2.0 + 1.0j, -1.5 + 0.2j):
         assert abs(oracles.holonomy_integral(three, z) - abelian.holonomy(three, z)) <= 1e-6
-    assert oracles.holonomy_integral(abelian.vacuum(0.0, 0.3), 1.0) == pytest.approx(
-        abelian.holonomy(abelian.vacuum(0.0, 0.3), 1.0), abs=1e-15)
+    assert oracles.holonomy_integral(AbelianMonopole([], 0.0, 0.3), 1.0) == pytest.approx(
+        abelian.holonomy(AbelianMonopole([], 0.0, 0.3), 1.0), abs=1e-15)
 
 
 def test_holonomy_multiplicative_over_terms():
@@ -563,7 +564,7 @@ def test_translated_asymptotics_dipole_antisymmetry():
 
 def test_rescale_identity():
     m = unit_monopole(v=2.0)
-    ev = abelian.rescale(m, 1.0)
+    ev = abelian.RescaledPair(m, 1.0)
     p = CirclePoint3(1.0 + 0.2j, 0.7)
     assert ev.higgs(p.z, p.t) == abelian.higgs(m, p)
 
@@ -572,7 +573,7 @@ def test_rescale_rejects_bad_ratio():
     m = AbelianMonopole([DiracTerm(CirclePoint3(1.0, 0.0), 1)], v=1.0)
     for lam in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
-            abelian.rescale(m, lam)
+            abelian.RescaledPair(m, lam)
     with pytest.raises(SingularPointError):
         abelian.euclidean_limit_profile(0.0, 0.0)
     for r, t in ((math.inf, 0.0), (math.nan, 0.0), (0.3, math.inf), (0.3, -math.inf), (0.0, math.nan)):
@@ -583,7 +584,7 @@ def test_rescale_rejects_bad_ratio():
 def test_rescale_large_mass_euclidean_limit():
     v = 100.0
     lam = v + 0.5 * green.A0
-    ev = abelian.rescale(unit_monopole(v=v), lam)
+    ev = abelian.RescaledPair(unit_monopole(v=v), lam)
     r, t = 0.3, 0.2
     lim = abelian.euclidean_limit_profile(r, t)
     assert abs(ev.higgs(complex(r), t) - lim) <= 0.02
@@ -595,7 +596,7 @@ def test_rescale_doubling_mass_halves_discrepancy():
     lim = abelian.euclidean_limit_profile(r, t)
 
     def dev(v):
-        return abs(abelian.rescale(unit_monopole(v=v), v).higgs(complex(r), t) - lim)
+        return abs(abelian.RescaledPair(unit_monopole(v=v), v).higgs(complex(r), t) - lim)
 
     assert dev(100.0) / dev(200.0) == pytest.approx(2.0, abs=0.1)
 
@@ -611,7 +612,7 @@ def test_euclidean_limit_profile_rate(v, s, polar, az):
     lam = v + 0.5 * green.A0
     r, t = s * lam * math.sin(polar), s * lam * math.cos(polar)
     tol = 1e-12
-    dev = abs(abelian.rescale(unit_monopole(v=v), lam).higgs(r * cmath.exp(1j * az), t, tol)
+    dev = abs(abelian.RescaledPair(unit_monopole(v=v), lam).higgs(r * cmath.exp(1j * az), t, tol)
               - abelian.euclidean_limit_profile(r, t))
     rho = math.hypot(r, t)
     x = (rho / (TWO_PI * lam)) ** 2
@@ -622,7 +623,7 @@ def test_euclidean_limit_profile_rate(v, s, polar, az):
 
 def test_bogomolny_vacuum_zero():
     box = ((3.0, 3.4), (0.0, 0.4), (1.0, 1.4))
-    assert abelian.bogomolny_residual(abelian.vacuum(2.0, 0.3), box, 0.05) == 0.0
+    assert abelian.bogomolny_residual(AbelianMonopole([], 2.0, 0.3), box, 0.05) == 0.0
 
 
 def test_bogomolny_second_order_and_linearity():

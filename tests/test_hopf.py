@@ -14,18 +14,23 @@ from permono.hopf import Quat4Point
 
 
 def test_gibbons_hawking_data_refuse_a_subnormal_rho():
-    # at rho = 1e-320 1/(2 rho) is not finite: all three refuse, as at rho = 0,
-    # at a point and in an array of points; rho = 1e-300 still answers
+    # at rho = 1e-320 1/(2 rho) is not finite: both refuse, as at rho = 0, at a
+    # point and in an array of points; rho = 1e-300 still answers. The lift
+    # pi^* a - 2 psi fiber_tangent forms no h, so it answers everywhere and is 0 at the origin
     a = [0.1, 0.2, 0.3]
-    fns = (hopf.gh_potential, hopf.gibbons_hawking_connection, lambda q: hopf.lift_form(a, 0.5, q))
+    fns = (hopf.gh_potential, hopf.gibbons_hawking_connection)
     for p in (Quat4Point(0.0, 0.0), Quat4Point(1e-160, 0.0), Quat4Point(0.0, 1e-160j),
               Quat4Point(np.array([1.0, 1e-160]), np.zeros(2))):
         for fn in fns:
             with pytest.raises(OutOfRegimeError):
                 fn(p)
-    p = Quat4Point(1e-150, 0.0)
-    assert hopf.gh_potential(p) == 0.5 / 1e-300
-    assert all(np.isfinite(fn(p)).all() for fn in fns)
+        want = np.tensordot(a, hopf.projection_jacobian(p), axes=(0, 0)) - hopf.fiber_tangent(p)
+        assert np.array_equal(hopf.lift_form(a, 0.5, p), want)
+    assert np.array_equal(hopf.lift_form(a, 0.5, Quat4Point(0.0, 0.0)), np.zeros(4))
+    for p, rho in ((Quat4Point(1e-150, 0.0), 1e-300), (Quat4Point(1e150, 0.0), 1e300)):
+        assert hopf.gh_potential(p) == 0.5 / rho
+        assert all(np.isfinite(fn(p)).all() for fn in fns)
+        assert np.isfinite(hopf.hopf_project(p)).all()
 
 
 def rand_points(n, seed, lo=0.25, hi=1.2):
@@ -47,8 +52,13 @@ def base_chart(p):
     return "+" if abs(p.z1) >= abs(p.z2) else "-"
 
 
-@pytest.mark.parametrize("z1, z2", [(math.nan, 0.5), (0.5, complex(0.0, math.inf))])
+@pytest.mark.parametrize("z1, z2", [(math.nan, 0.5), (0.5, complex(0.0, math.inf)),
+                                    (1e160, 0.0), (np.array([1e160, 1.0]), np.zeros(2)), (1e160, 1.0)])
 def test_quat_point_rejects_non_finite(z1, z2):
+    # rho = |z1|^2 + |z2|^2 must be finite too: at 1e160 it overflowed, so
+    # gh_potential raised OverflowError at a point and read h = 0 (with a
+    # warning) in an array, and lift_dirac_connection(1, 0, (1e160, 1), "+")
+    # returned 0 with no error
     with pytest.raises(ValueError, match="finite"):
         Quat4Point(z1, z2)
 

@@ -11,12 +11,7 @@ from scipy import special
 import oracles
 from permono import modelsolve as ms
 from permono import specfn, spectral
-from permono.errors import (
-    CoercivityError,
-    ExceptionalWeightError,
-    UnderResolvedError,
-    WeightRangeError,
-)
+from permono.errors import ExceptionalWeightError, UnderResolvedError, WeightRangeError
 
 
 def test_gamma_roots():
@@ -207,8 +202,6 @@ def test_exterior_diagonal_source_vs_closed_form():
 
 def test_exterior_diagonal_guards():
     sec = ms.Sector.diagonal_invariant(0)
-    with pytest.raises(WeightRangeError):
-        ms.exterior_diagonal_solve(ms.ExteriorModeProblem(sec, R=1.0, delta=0.5), 1e-3)
     with pytest.raises(ValueError):
         ms.exterior_diagonal_solve(
             ms.ExteriorModeProblem(ms.Sector.oscillatory(1), R=1.0), 1e-3
@@ -216,9 +209,6 @@ def test_exterior_diagonal_guards():
     for R in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="R must be positive and finite"):
             ms.ExteriorModeProblem(sec, R=R)
-    for delta in (math.nan, math.inf, -math.inf):
-        with pytest.raises(WeightRangeError, match="finite"):
-            ms.ExteriorModeProblem(sec, R=1.0, delta=delta)
     p = ms.ExteriorModeProblem(sec, R=1.0)
     for mesh in (0.0, -1e-3, math.nan, math.inf):
         with pytest.raises(ValueError, match="mesh must be finite"):
@@ -234,14 +224,9 @@ def test_coercive_zero_data_and_guards():
     assert math.isnan(sol.decay_slope)
     with pytest.raises(ValueError):
         ms.Sector.oscillatory(0)
-    for delta in (math.nan, math.inf, -math.inf):
-        with pytest.raises(WeightRangeError, match="finite"):
-            ms.ExteriorModeProblem(ms.Sector.oscillatory(1), R=1.0, delta=delta)
     for c in (-1.0, math.nan, math.inf):
-        with pytest.raises(CoercivityError):
-            ms.exterior_coercive_solve(
-                ms.ExteriorModeProblem(ms.Sector.off_diagonal(c), R=1.0), 1e-2
-            )
+        with pytest.raises(ValueError, match="mass_sq"):
+            ms.Sector(0, c)
     for mesh in (0.0, -1e-2, math.nan, math.inf):
         with pytest.raises(ValueError, match="mesh must be finite"):
             ms.exterior_coercive_solve(p, mesh)
@@ -276,7 +261,7 @@ def test_coercive_mass_doubling_halves_l2():
         ms.ExteriorModeProblem(ms.Sector.oscillatory(1), R=1.0, f=bump), 2e-3
     )
     dbl = ms.exterior_coercive_solve(
-        ms.ExteriorModeProblem(ms.Sector.off_diagonal(4.0), R=1.0, f=bump), 2e-3
+        ms.ExteriorModeProblem(ms.Sector(0, 4.0), R=1.0, f=bump), 2e-3
     )
 
     def l2(sol):
@@ -289,7 +274,6 @@ def test_sector_is_its_mode_and_mass():
     assert ms.Sector.diagonal_invariant(2) == ms.Sector(2, 0.0)
     assert ms.Sector.diagonal_invariant() == ms.Sector(0, 0.0)
     assert ms.Sector.oscillatory(-3) == ms.Sector(0, 9.0)
-    assert ms.Sector.off_diagonal(4.0) == ms.Sector(0, 4.0)
     assert ms.Sector.diagonal_invariant(np.int64(1)).mode == 1
 
 
@@ -304,11 +288,13 @@ def test_sector_refuses_a_non_integer_mode(mode):
 
 @pytest.mark.parametrize("c", [0.0, -1.0, -math.inf, math.nan, math.inf])
 def test_sector_refuses_a_bad_coercivity_where_it_is_built(c):
-    # the error waited until the solve
-    with pytest.raises(CoercivityError):
-        ms.Sector.off_diagonal(c)
-    if c != 0.0:
-        with pytest.raises(CoercivityError):
+    # the error waited until the solve; c = 0 is the diagonal sector, which
+    # the screened solve refuses
+    if c == 0.0:
+        with pytest.raises(ValueError, match="mu > 0"):
+            ms.exterior_coercive_solve(ms.ExteriorModeProblem(ms.Sector(0, c), R=1.0), 1e-2)
+    else:
+        with pytest.raises(ValueError, match="mass_sq"):
             ms.Sector(0, c)
 
 
@@ -320,14 +306,18 @@ def test_each_exterior_solve_needs_its_mass():
             ms.exterior_coercive_solve(ms.ExteriorModeProblem(sec, R=1.0), 1e-2)
 
 
-@pytest.mark.parametrize("mu", [50.0, 200.0])
+@pytest.mark.parametrize("mu", [30.0, 50.0, 200.0])
 def test_coercive_refuses_an_unresolved_mass(mu):
     # at mesh 1e-2 the slope read -34.8 (mu = 50) and -35.2 (mu = 200), with no error
     bump = lambda r: np.exp(-(((r - 3.0) / 0.5) ** 2))
-    p = ms.ExteriorModeProblem(ms.Sector.off_diagonal(mu * mu), R=1.0, f=bump)
+    p = ms.ExteriorModeProblem(ms.Sector(0, mu * mu), R=1.0, f=bump)
     with pytest.raises(UnderResolvedError, match="cannot resolve"):
         ms.exterior_coercive_solve(p, 1e-2)
-    assert ms.exterior_coercive_solve(p, 0.25 / mu).mesh == 0.25 / mu  # mesh * mu = 1/4 is accepted
+    sol = ms.exterior_coercive_solve(p, 0.25 / mu)  # mesh * mu = 1/4 is accepted
+    assert sol.mesh == 0.25 / mu
+    # past the bump u ~ f/mu^2 still follows the source, so no node is fit:
+    # the slope read the source's (slope + mu = 0.41 at mu = 30, 15.2 at 50)
+    assert math.isnan(sol.decay_slope)
 
 
 @settings(max_examples=40, deadline=None)
