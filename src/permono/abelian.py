@@ -72,10 +72,6 @@ class AbelianMonopole:
                 if centers[i].distance(centers[j]) == 0.0:
                     raise ValueError("term centers must be pairwise distinct")
 
-    @property
-    def total_periodic_charge(self) -> int:
-        return sum(t.charge for t in self.terms if t.kind is Kind.PERIODIC)
-
 
 @dataclass
 class FieldSample:

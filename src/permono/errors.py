@@ -26,11 +26,9 @@ class ToleranceUnreachableError(RuntimeError):
 
 
 class UnderResolvedError(RuntimeError):
-    """Mesh too coarse to resolve the fastest scale of the problem."""
-
-
-class ResolutionTooLowError(RuntimeError):
-    """Discretized spectrum has not converged at the requested resolution."""
+    """Discretization too coarse for the answer asked of it: a model mesh that
+    cannot resolve the fastest scale of its problem, or a discretized spectrum
+    that moves under refinement."""
 
 
 def require_integer(name: str, value, least: int | None = None) -> int:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -115,7 +115,7 @@ class GreenEval:
     grad: np.ndarray
     trunc_bound: float
     regime: Regime
-    terms: int = field(default=0)
+    terms: int
 
 
 def _require_tol(tol) -> None:

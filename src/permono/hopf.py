@@ -24,12 +24,11 @@ off-diagonal part by the phase e^{i k theta_1} (chart z1 != 0).
 
 A point is held one way only: ``Quat4Point(z1, z2)``, z1 = x1 + i x2 and
 z2 = x3 + i x4 complex scalars, or complex arrays of one shape for an array
-of points, at which every function of a point but the curvature stencils
+of points, at which every function of a point but the curvature stencil
 works elementwise. A 1-form is a plain array of its components (dx1..dx4),
 of shape (4, *shape) at an array point: it evaluates on a tangent vector v
-as w @ v, and ``lifted_norm_sq`` is its g_hat norm at every point. So
-``curvature_richardson`` steps z1 and z2 by complex offsets and gets its 16
-stencil forms from one ``form_fn`` call. Charges are integers.
+as w @ v. So ``curvature_richardson`` steps z1 and z2 by complex offsets and
+gets its 16 stencil forms from one ``form_fn`` call. Charges are integers.
 """
 
 from __future__ import annotations
@@ -67,12 +66,6 @@ class Quat4Point:
         return abs(self.z1) ** 2 + abs(self.z2) ** 2
 
 
-def lifted_norm_sq(w: np.ndarray):
-    """Squared norm of the 1-form w, shape (4, *shape), in the lifted metric
-    g_hat = 2 g_euclid, at each of its points."""
-    return 0.5 * np.einsum("i...,i...->...", w, w)
-
-
 def hopf_project(p: Quat4Point) -> np.ndarray:
     """(|z1|^2 - |z2|^2, Re(2 z1 z2), Im(2 z1 z2))."""
     w = 2.0 * p.z1 * p.z2
@@ -92,25 +85,6 @@ def projection_jacobian(p: Quat4Point) -> np.ndarray:
 def fiber_tangent(p: Quat4Point) -> np.ndarray:
     """Generator (i z1, -i z2) of the circle action."""
     return np.array([-p.z1.imag, p.z1.real, p.z2.imag, -p.z2.real])
-
-
-def circle_act(p: Quat4Point, s: float) -> Quat4Point:
-    return Quat4Point(p.z1 * np.exp(1j * s), p.z2 * np.exp(-1j * s))
-
-
-def gh_potential(p: Quat4Point) -> float | np.ndarray:
-    """h = 1/(2 rho): a float, or an array of the points' shape. OutOfRegimeError
-    where rho is below the smallest normal float (0, or 1/(2 rho) not finite)."""
-    rho = p.rho
-    if np.any(rho < np.finfo(float).tiny):
-        raise OutOfRegimeError(f"Gibbons-Hawking data undefined at the origin, rho={np.min(rho)}")
-    return 0.5 / rho
-
-
-def gibbons_hawking_connection(p: Quat4Point) -> np.ndarray:
-    """theta0 = Im(conj(z1) dz1 - conj(z2) dz2)/rho; theta0(fiber) = 1 and
-    d theta0 = pi^*(*dh) with h = 1/(2 rho)."""
-    return 2.0 * gh_potential(p) * fiber_tangent(p)
 
 
 def lift_form(a, psi: float, p: Quat4Point) -> np.ndarray:
@@ -194,43 +168,23 @@ _MU, _NU = np.array(_PAIRS).T
 _UNIT1, _UNIT2 = np.array([1.0, 1j, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 1j])
 
 
-def _stencil_curvatures(form_fn, p: Quat4Point, h: float, fractions) -> np.ndarray:
-    """Central-difference curvatures F_{mu nu} = d_mu w_nu - d_nu w_mu of a
-    1-form field at each step h * fraction, shape (len(fractions), 6), from
-    one form_fn call on all 8 len(fractions) stencil points p +- step e_mu."""
+def curvature_richardson(form_fn, p: Quat4Point, h: float) -> np.ndarray:
+    """Curvature F_{mu nu} = d_mu w_nu - d_nu w_mu of a 1-form field at one
+    point p, ordered (12, 13, 14, 23, 24, 34), to fourth order: Richardson
+    extrapolation of the central differences at steps h/2 and h, both from one
+    form_fn call on their 16 stencil points p +- step e_mu. form_fn takes a
+    Quat4Point array of stencil points and returns their forms at once, as
+    ``lift_dirac_connection`` does; an array p raises ValueError."""
     if np.ndim(p.z1):
         raise ValueError(f"the curvature stencil takes one point, got an array of shape {np.shape(p.z1)}")
     if not 0.0 < h < math.inf:
         raise ValueError(f"step h must be finite and > 0, got {h}")
-    steps = h * np.asarray(fractions)
+    steps = h * np.array([0.5, 1.0])
     d = np.multiply.outer(steps, [1.0, -1.0])[:, :, None]  # d[s, sign, 0]
     w = form_fn(Quat4Point(p.z1 + d * _UNIT1, p.z2 + d * _UNIT2))  # w[nu, s, sign, mu]
     grad = (w[:, :, 0] - w[:, :, 1]) / (2.0 * steps[:, None])  # grad[nu, s, mu] = d_mu w_nu
-    return (grad[_NU, :, _MU] - grad[_MU, :, _NU]).T
-
-
-def curvature_fd(form_fn, p: Quat4Point, h: float) -> np.ndarray:
-    """Central-difference curvature F_{mu nu} = d_mu w_nu - d_nu w_mu of a
-    1-form field at one point p, ordered (12, 13, 14, 23, 24, 34). form_fn
-    takes a Quat4Point array of stencil points and returns their forms at
-    once, as ``lift_dirac_connection`` does; an array p raises ValueError."""
-    return _stencil_curvatures(form_fn, p, h, [1.0])[0]
-
-
-def curvature_richardson(form_fn, p: Quat4Point, h: float) -> np.ndarray:
-    """Fourth-order curvature via Richardson extrapolation of the stencil at
-    steps h/2 and h, both from one form_fn call on their 16 points."""
-    half, full = _stencil_curvatures(form_fn, p, h, [0.5, 1.0])
+    half, full = (grad[_NU, :, _MU] - grad[_MU, :, _NU]).T
     return (4.0 * half - full) / 3.0
-
-
-def self_dual_part_norm(F: np.ndarray) -> float:
-    """Euclidean norm of the self-dual components (F12+F34, F13-F24, F14+F23);
-    zero exactly when F is anti-self-dual (orientation dx1^dx2^dx3^dx4)."""
-    s1 = F[0] + F[5]
-    s2 = F[1] - F[4]
-    s3 = F[2] + F[3]
-    return math.sqrt(s1 * s1 + s2 * s2 + s3 * s3)
 
 
 def dirac_curvature_analytic(mass: float) -> np.ndarray:

@@ -2,13 +2,11 @@
 Dirichlet problem -u'' + u' + lambda u = f with its indicial decay rates, the
 mode-decomposed exterior problems on r >= R (harmonic modes for the invariant
 diagonal sector, screened modes for the oscillatory and off-diagonal sectors),
-the weighted Poincare inequality with the explicit constant sqrt(2+R^2)/R,
-and the algebraic identities of the weight omega = sqrt(1+r^2).
+and the weighted Poincare inequality with the explicit constant sqrt(2+R^2)/R
+for the weight omega = sqrt(1+r^2).
 
 Sign convention: the geometer's Laplacian (nonnegative, = -sum of second
-derivatives on flat space) throughout, which is what makes
--omega lap(omega) + |grad omega|^2 = +2 hold; the analyst's sign would give
--2/(1+r^2).
+derivatives on flat space) throughout.
 
 All solvers share one three-point solver (``_robin_solve``): second-order
 central differences on a uniform mesh, on a domain cut where truncation falls
@@ -268,24 +266,8 @@ def exterior_coercive_solve(p: ExteriorModeProblem, mesh: float) -> CoerciveSolu
 
 
 # ---------------------------------------------------------------------------
-# weight function and Poincare inequality
+# weighted Poincare inequality
 # ---------------------------------------------------------------------------
-
-def omega(r):
-    """omega = sqrt(1 + r^2), as hypot(1, r): r * r overflows past r ~ 1.3e154."""
-    return np.hypot(1.0, np.asarray(r, dtype=float))
-
-
-def omega_gradient_norm(r):
-    """|grad omega| = r / omega (< 1 everywhere)."""
-    return np.asarray(r, dtype=float) / omega(r)
-
-
-def omega_laplacian(r):
-    """Geometer's Laplacian of omega on R^2: -(1+r^2)^{-3/2} - (1+r^2)^{-1/2}."""
-    w = omega(r)
-    return -(w**-3 + w**-1)
-
 
 def poincare_constant(R: float) -> float:
     """The explicit constant sqrt(2 + R^2)/R of the weighted inequality, as

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ResolutionTooLowError, require_integer
+from .errors import UnderResolvedError, require_integer
 
 #: relative tolerance of the oracle, against max(|lambda|, 0.25): neighbours further
 #: apart start a new cluster, and no eigenvalue may move further at half resolution
@@ -56,12 +56,6 @@ class WeightSpectrum:
     m: int
     entries: list[SpectrumEntry]
 
-    def weights(self) -> list[float]:
-        out = []
-        for e in self.entries:
-            out.extend((e.gamma_plus, e.gamma_minus))
-        return out
-
 
 def operator_L_spectrum(m: int, j_max: int) -> WeightSpectrum:
     """Eigenvalues l(l+2)/4 of L = (sphere Laplacian, Bochner + m^2/4) and the
@@ -85,8 +79,8 @@ class ExceptionalQuery:
 def is_exceptional(delta: float, m: int, *, tol: float = 1e-12) -> ExceptionalQuery:
     """Whether delta coincides (within tol) with an indicial root gamma_j^+-,
     j >= 0: the nearest root, rounded to a float, and its distance, rounded
-    once. Of equally near roots the one with the smaller j is reported,
-    gamma^+ before gamma^-, as in the order of ``WeightSpectrum.weights``.
+    once. Of equally near roots the one with the smaller j is reported, and
+    of a gamma^+ and a gamma^- with the same j, gamma^+.
     """
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
@@ -182,10 +176,10 @@ def sphere_laplacian_oracle(m: int, l_cut: int, n_phi: int = 600) -> OracleSpect
     vals = collect(n_phi)
     coarse = collect(n_phi // 2)
     if vals.size != coarse.size:
-        raise ResolutionTooLowError("eigenvalue count changed under refinement")
+        raise UnderResolvedError("eigenvalue count changed under refinement")
     scale = np.maximum(np.abs(vals), 0.25)
     if np.max(np.abs(vals - coarse) / scale) > _CLUSTER_TOL:
-        raise ResolutionTooLowError(f"oracle eigenvalues moved > {_CLUSTER_TOL} under refinement")
+        raise UnderResolvedError(f"oracle eigenvalues moved > {_CLUSTER_TOL} under refinement")
 
     clusters: list[OracleCluster] = []
     start = 0

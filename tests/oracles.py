@@ -7,9 +7,8 @@ blocked ``green.green_image_sum``, the exact tail of that sum in mpmath, the
 reference of its bound, and the whole image sum of G and its gradient in
 mpmath, the reference of the Legendre-zeta series; the closed forms of the flat
 lifted metric g_hat = 2 g_euclid that the Hopf tests compare against; and the
-closed forms of the charge-m sphere spectrum, of the weight identity of the
-model problems and of the decay rate of the cylinder's central-difference
-scheme."""
+closed forms of the charge-m sphere spectrum and of the decay rate of the
+cylinder's central-difference scheme."""
 
 import cmath
 import math
@@ -19,7 +18,6 @@ import numpy as np
 from scipy import special
 
 from permono import abelian, green, hopf
-from permono import modelsolve as ms
 from permono.errors import SingularPointError
 from permono.specfn import A0
 
@@ -155,16 +153,6 @@ def kuwabara_eigenvalues(m: int, j_max: int) -> list[tuple[int, float, int]]:
     return [(l, (l * (l + 2) - m * m) / 4.0, l + 1) for l in ls]
 
 
-def weight_identity_check(samples) -> float:
-    """max |(-omega lap omega + |grad omega|^2) - 2| over the samples, from
-    the closed forms of ``modelsolve``; also enforces |grad omega| <= 1."""
-    r = np.asarray(samples, dtype=float)
-    resid = -ms.omega(r) * ms.omega_laplacian(r) + ms.omega_gradient_norm(r) ** 2 - 2.0
-    if np.any(ms.omega_gradient_norm(r) > 1.0):
-        raise AssertionError("|grad omega| exceeded 1")
-    return float(np.abs(resid).max())
-
-
 def discrete_decay_rate(lam: float, h: float) -> float:
     """-log(zeta)/h for the decaying root zeta of the central-difference
     scheme of -u'' + u' + lam u = 0 at mesh h, i.e. of
@@ -228,7 +216,7 @@ def curvature_norm_sq_lifted(F: np.ndarray) -> float:
 
 def star_dh(p: hopf.Quat4Point) -> np.ndarray:
     """pi^*(*_3 dh) at p, for h = 1/(2 rho): the exact value of d theta0, as
-    the six components (12, 13, 14, 23, 24, 34) of ``hopf.curvature_fd``."""
+    the six components (12, 13, 14, 23, 24, 34) of a curvature."""
     X = hopf.hopf_project(p)
     b = -X / (2.0 * float(np.linalg.norm(X)) ** 3)
     # (*dh)_{jk} = eps_{jkl} d_l h: components (23, 31, 12) = grad h

@@ -478,7 +478,7 @@ def test_winding_matches_total_charge():
     ]
     for m, expect in cases:
         assert abelian.winding_number(m, 8.0) == expect
-        assert expect == -m.total_periodic_charge
+        assert expect == -sum(t.charge for t in m.terms if t.kind is Kind.PERIODIC)
 
 
 def test_winding_rejects_circle_through_center():

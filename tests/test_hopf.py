@@ -14,22 +14,16 @@ from permono.hopf import Quat4Point
 
 
 def test_gibbons_hawking_data_refuse_a_subnormal_rho():
-    # at rho = 1e-320 1/(2 rho) is not finite: both refuse, as at rho = 0, at a
-    # point and in an array of points; rho = 1e-300 still answers. The lift
-    # pi^* a - 2 psi fiber_tangent forms no h, so it answers everywhere and is 0 at the origin
+    # at rho = 1e-320 (and at rho = 0) 1/(2 rho) is not finite, at a point and
+    # in an array of points. The lift pi^* a - 2 psi fiber_tangent forms no h,
+    # so it answers everywhere and is 0 at the origin
     a = [0.1, 0.2, 0.3]
-    fns = (hopf.gh_potential, hopf.gibbons_hawking_connection)
     for p in (Quat4Point(0.0, 0.0), Quat4Point(1e-160, 0.0), Quat4Point(0.0, 1e-160j),
               Quat4Point(np.array([1.0, 1e-160]), np.zeros(2))):
-        for fn in fns:
-            with pytest.raises(OutOfRegimeError):
-                fn(p)
         want = np.tensordot(a, hopf.projection_jacobian(p), axes=(0, 0)) - hopf.fiber_tangent(p)
         assert np.array_equal(hopf.lift_form(a, 0.5, p), want)
     assert np.array_equal(hopf.lift_form(a, 0.5, Quat4Point(0.0, 0.0)), np.zeros(4))
-    for p, rho in ((Quat4Point(1e-150, 0.0), 1e-300), (Quat4Point(1e150, 0.0), 1e300)):
-        assert hopf.gh_potential(p) == 0.5 / rho
-        assert all(np.isfinite(fn(p)).all() for fn in fns)
+    for p in (Quat4Point(1e-150, 0.0), Quat4Point(1e150, 0.0)):
         assert np.isfinite(hopf.hopf_project(p)).all()
 
 
@@ -46,6 +40,39 @@ def rand_points(n, seed, lo=0.25, hi=1.2):
     return pts
 
 
+def theta0(p):
+    """The Gibbons-Hawking connection Im(conj(z1) dz1 - conj(z2) dz2)/rho."""
+    return hopf.fiber_tangent(p) / p.rho
+
+
+def circle_act(p, s):
+    return Quat4Point(p.z1 * np.exp(1j * s), p.z2 * np.exp(-1j * s))
+
+
+def norm_sq(w):
+    """|w|^2 in g_hat = 2 g_euclid, at each point of a (4, *shape) form."""
+    return 0.5 * np.sum(w * w, axis=0)
+
+
+def self_dual_norm(F):
+    """Norm of the self-dual part (F12+F34, F13-F24, F14+F23) of F."""
+    return math.hypot(F[0] + F[5], F[1] - F[4], F[2] + F[3])
+
+
+def fd(form_fn, p, step):
+    """Central-difference curvature at one point, ordered like hopf._PAIRS,
+    with one scalar form_fn call per stencil point, stepped in x1..x4."""
+    x = np.array([p.z1.real, p.z1.imag, p.z2.real, p.z2.imag])
+    grad = np.zeros((4, 4))  # grad[mu, nu] = d_mu w_nu
+    for mu in range(4):
+        e = np.zeros(4)
+        e[mu] = step
+        wp = form_fn(Quat4Point(complex(*(x + e)[:2]), complex(*(x + e)[2:])))
+        wm = form_fn(Quat4Point(complex(*(x - e)[:2]), complex(*(x - e)[2:])))
+        grad[mu] = (wp - wm) / (2.0 * step)
+    return np.array([grad[mu, nu] - grad[nu, mu] for mu, nu in hopf._PAIRS])
+
+
 def base_chart(p):
     """The chart singular_gauge_phase(chart='auto') picks at p, held fixed
     over a whole stencil."""
@@ -55,10 +82,8 @@ def base_chart(p):
 @pytest.mark.parametrize("z1, z2", [(math.nan, 0.5), (0.5, complex(0.0, math.inf)),
                                     (1e160, 0.0), (np.array([1e160, 1.0]), np.zeros(2)), (1e160, 1.0)])
 def test_quat_point_rejects_non_finite(z1, z2):
-    # rho = |z1|^2 + |z2|^2 must be finite too: at 1e160 it overflowed, so
-    # gh_potential raised OverflowError at a point and read h = 0 (with a
-    # warning) in an array, and lift_dirac_connection(1, 0, (1e160, 1), "+")
-    # returned 0 with no error
+    # rho = |z1|^2 + |z2|^2 must be finite too: at 1e160 it overflowed, and
+    # lift_dirac_connection(1, 0, (1e160, 1), "+") returned 0 with no error
     with pytest.raises(ValueError, match="finite"):
         Quat4Point(z1, z2)
 
@@ -81,17 +106,15 @@ def test_projection_jacobian_algebra():
 
 def test_theta0_fiber_normalization_and_invariance():
     for p in rand_points(5, seed=8):
-        th = hopf.gibbons_hawking_connection(p)
+        th = theta0(p)
         assert th @ hopf.fiber_tangent(p) == pytest.approx(1.0, abs=1e-12)
         # S^1-invariance: pull back along the action
         for s in (0.4, 2.0):
-            q = hopf.circle_act(p, s)
-            thq = hopf.gibbons_hawking_connection(q)
+            q = circle_act(p, s)
+            thq = theta0(q)
             R = oracles.circle_pushforward(s)
             v = np.array([0.3, -0.2, 0.5, 0.1])
             assert thq @ (R @ v) == pytest.approx(th @ v, abs=1e-12)
-    with pytest.raises(OutOfRegimeError):
-        hopf.gibbons_hawking_connection(Quat4Point(0, 0))
 
 
 def test_dtheta0_equals_star_dh():
@@ -99,7 +122,7 @@ def test_dtheta0_equals_star_dh():
     p = Quat4Point(0.8 + 0.1j, -0.3 + 0.55j)  # rho ~ 1
     errs = []
     for h in (2e-2, 1e-2, 5e-3):
-        F = hopf.curvature_fd(hopf.gibbons_hawking_connection, p, h)
+        F = fd(theta0, p, h)
         errs.append(np.abs(F - oracles.star_dh(p)).max())
     assert errs[0] <= 1e-2
     assert 1.8 <= math.log2(errs[0] / errs[1]) <= 2.2
@@ -109,8 +132,8 @@ def test_dtheta0_equals_star_dh():
 def test_metric_correspondence():
     rng = np.random.default_rng(11)
     for p in rand_points(20, seed=12):
-        h = hopf.gh_potential(p)
-        th = hopf.gibbons_hawking_connection(p)
+        h = 0.5 / p.rho
+        th = theta0(p)
         J = hopf.projection_jacobian(p)
         u, v = rng.normal(size=4), rng.normal(size=4)
         gh = h * float(np.dot(J @ u, J @ v)) + (1.0 / h) * (th @ u) * (th @ v)
@@ -119,11 +142,11 @@ def test_metric_correspondence():
 
 def test_lift_form_norm_identity_examples():
     p_half = Quat4Point(math.sqrt(0.5), 0.0)  # rho = 1/2
-    assert hopf.lifted_norm_sq(hopf.lift_form([1.0, 0.0, 0.0], 0.0, p_half)) == pytest.approx(1.0, abs=1e-14)
+    assert norm_sq(hopf.lift_form([1.0, 0.0, 0.0], 0.0, p_half)) == pytest.approx(1.0, abs=1e-14)
     p_two = Quat4Point(1.0, 1.0)  # rho = 2
-    assert hopf.lifted_norm_sq(hopf.lift_form([0.0, 0.0, 0.0], 1.0, p_two)) == pytest.approx(4.0, abs=1e-13)
+    assert norm_sq(hopf.lift_form([0.0, 0.0, 0.0], 1.0, p_two)) == pytest.approx(4.0, abs=1e-13)
     z = hopf.lift_form([0.0, 0.0, 0.0], 0.0, p_two)
-    assert np.all(z == 0.0) and hopf.lifted_norm_sq(z) == 0.0
+    assert np.all(z == 0.0) and norm_sq(z) == 0.0
 
 
 def test_lift_form_norm_identity_random():
@@ -132,8 +155,8 @@ def test_lift_form_norm_identity_random():
     for p in rand_points(100, seed=22, lo=0.05, hi=1.5):
         a = rng.normal(size=3)
         psi = rng.normal()
-        lhs = hopf.lifted_norm_sq(hopf.lift_form(a, psi, p))
-        rhs = (float(np.dot(a, a)) + psi * psi) / hopf.gh_potential(p)
+        lhs = norm_sq(hopf.lift_form(a, psi, p))
+        rhs = (float(np.dot(a, a)) + psi * psi) / (0.5 / p.rho)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     assert worst <= 1e-12
 
@@ -155,7 +178,7 @@ def test_flatness_residual_second_order():
     p = Quat4Point(0.6 - 0.3j, 0.5 + 0.4j)
     errs = []
     for h in (0.02, 0.01, 0.005):
-        F = hopf.curvature_fd(lambda q: hopf.lift_dirac_connection(1, 0.0, q, base_chart(p)), p, h)
+        F = fd(lambda q: hopf.lift_dirac_connection(1, 0.0, q, base_chart(p)), p, h)
         errs.append(float(np.abs(F).max()))
     assert 1.8 <= math.log2(errs[0] / errs[1]) <= 2.2
     assert 1.8 <= math.log2(errs[1] / errs[2]) <= 2.2
@@ -169,10 +192,8 @@ def test_asd_residual_second_order(mass):
     for h in hs:
         worst = 0.0
         for p in pts:
-            F = hopf.curvature_fd(
-                lambda q: hopf.lift_dirac_connection(1, mass, q, base_chart(p)), p, h
-            )
-            worst = max(worst, hopf.self_dual_part_norm(F))
+            F = fd(lambda q: hopf.lift_dirac_connection(1, mass, q, base_chart(p)), p, h)
+            worst = max(worst, self_dual_norm(F))
         res.append(worst)
     slope = np.polyfit(np.log2(hs), np.log2(res), 1)[0]
     assert slope >= 1.8
@@ -216,7 +237,7 @@ def test_equivariance_of_lift_and_gauge_weight():
     # gauge transforms with weight k
     for p in rand_points(5, seed=60):
         for s in (0.7, 1.9):
-            q = hopf.circle_act(p, s)
+            q = circle_act(p, s)
             R = oracles.circle_pushforward(s)
             v = np.array([0.2, 0.1, -0.4, 0.3])
             wp = hopf.lift_dirac_connection(1, 1.0, p, chart="+")
@@ -265,7 +286,7 @@ def test_curvature_across_equal_moduli(mass):
     assert abs(abs(p.z1) - abs(p.z2)) < h
     for chart in ("+", "-"):
         F = hopf.curvature_richardson(lambda q: hopf.lift_dirac_connection(1, mass, q, chart), p, h)
-        assert hopf.self_dual_part_norm(F) <= 1e-9
+        assert self_dual_norm(F) <= 1e-9
         assert np.abs(F - hopf.dirac_curvature_analytic(mass)).max() <= 1e-9
 
 
@@ -315,14 +336,14 @@ def test_forms_of_point_array_are_pointwise(shape):
     p = Quat4Point(np.array([q.z1 for q in pts]).reshape(shape),
                    np.array([q.z2 for q in pts]).reshape(shape))
     a, psi = np.array([0.3, -0.2, 0.5]), 0.7
-    th, lift = hopf.gibbons_hawking_connection(p), hopf.lift_form(a, psi, p)
+    th, lift = theta0(p), hopf.lift_form(a, psi, p)
     assert th.shape == lift.shape == (4, *shape)
     # equal to rounding: numpy's complex abs and Python's may differ in the last bit
     for i, q in enumerate(pts):
-        assert np.abs(th.reshape(4, -1)[:, i] - hopf.gibbons_hawking_connection(q)).max() <= 1e-15
+        assert np.abs(th.reshape(4, -1)[:, i] - theta0(q)).max() <= 1e-15
         assert np.abs(lift.reshape(4, -1)[:, i] - hopf.lift_form(a, psi, q)).max() <= 1e-14
     # theta0 is dual to the fiber, whose g_hat length squared is 1/h
-    assert np.abs(hopf.lifted_norm_sq(th) - hopf.gh_potential(p)).max() <= 1e-14
+    assert np.abs(norm_sq(th) - 0.5 / p.rho).max() <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)
@@ -338,7 +359,6 @@ def test_point_functions_at_an_array_point_are_pointwise(mods, angs, k):
         "hopf_project": hopf.hopf_project,
         "fiber_tangent": hopf.fiber_tangent,
         "projection_jacobian": hopf.projection_jacobian,
-        "gh_potential": hopf.gh_potential,
         **{f"phase {c}": lambda q, c=c: hopf.singular_gauge_phase(k, q, c) for c in ("+", "-", "auto")},
     }
     for name, fn in at.items():
@@ -354,7 +374,7 @@ def test_point_functions_at_an_array_point_are_pointwise(mods, angs, k):
 
 
 @pytest.mark.parametrize("shape", [(2,), (4,), (2, 3)])
-@pytest.mark.parametrize("curvature", [hopf.curvature_fd, hopf.curvature_richardson])
+@pytest.mark.parametrize("curvature", [hopf.curvature_richardson])
 def test_curvature_takes_one_point(curvature, shape):
     # an array of 4 points would broadcast against the 4 stencil directions
     pts = rand_points(math.prod(shape), seed=90)
@@ -365,21 +385,8 @@ def test_curvature_takes_one_point(curvature, shape):
 
 
 def per_point_richardson(form_fn, p, h):
-    """The Richardson curvature with one scalar form_fn call per stencil point,
-    stepped in the real coordinates x1..x4."""
-    x = np.array([p.z1.real, p.z1.imag, p.z2.real, p.z2.imag])
-
-    def fd(step):
-        grad = np.zeros((4, 4))  # grad[mu, nu] = d_mu w_nu
-        for mu in range(4):
-            e = np.zeros(4)
-            e[mu] = step
-            wp = form_fn(Quat4Point(complex(*(x + e)[:2]), complex(*(x + e)[2:])))
-            wm = form_fn(Quat4Point(complex(*(x - e)[:2]), complex(*(x - e)[2:])))
-            grad[mu] = (wp - wm) / (2.0 * step)
-        return np.array([grad[mu, nu] - grad[nu, mu] for mu, nu in hopf._PAIRS])
-
-    return (4.0 * fd(0.5 * h) - fd(h)) / 3.0
+    """The Richardson extrapolation of ``fd`` at steps h/2 and h."""
+    return (4.0 * fd(form_fn, p, 0.5 * h) - fd(form_fn, p, h)) / 3.0
 
 
 @settings(max_examples=60, deadline=None)

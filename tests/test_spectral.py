@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from permono import spectral
-from permono.errors import ResolutionTooLowError
+from permono.errors import UnderResolvedError
 
 
 def test_kuwabara_examples():
@@ -76,7 +76,8 @@ def _scan_exceptional(delta, m, j_max, tol=1e-12):
     """The nearest root by a scan of every weight, first of equals winning,
     on exact distances: rounded ones can tie where the exact ones do not."""
     d = Fraction(delta)
-    ws = spectral.operator_L_spectrum(m, j_max).weights()
+    ws = [w for e in spectral.operator_L_spectrum(m, j_max).entries
+          for w in (e.gamma_plus, e.gamma_minus)]
     nearest = min(ws, key=lambda w: abs(Fraction(w) - d))
     dist = float(abs(Fraction(nearest) - d))
     return spectral.ExceptionalQuery(dist <= tol, nearest, dist)
@@ -109,8 +110,8 @@ def test_is_exceptional_matches_weight_scan(q, tol):
 def test_interval_free_of_weights():
     for m in (1, 2, 3, 4, 5, 6):
         lo, hi = -1.0 - m / 2.0, m / 2.0
-        for w in spectral.operator_L_spectrum(m, 40).weights():
-            assert not (lo < w < hi)
+        for e in spectral.operator_L_spectrum(m, 40).entries:
+            assert not (lo < e.gamma_plus < hi) and not (lo < e.gamma_minus < hi)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -156,14 +157,14 @@ def test_oracle_guards():
         spectral.sphere_laplacian_oracle(1, 2)  # parity mismatch
     with pytest.raises(ValueError):
         spectral.sphere_laplacian_oracle(0, 10)  # beyond desk scale
-    with pytest.raises(ResolutionTooLowError):
+    with pytest.raises(UnderResolvedError):
         spectral.sphere_laplacian_oracle(3, 7, n_phi=16)
 
 
 def test_oracle_refuses_a_split_cluster():
     # at n_phi = 40 the grid splits l = 5 into (6.486, 4) and (6.497, 2), for the
     # truth (6.5, 6), while no eigenvalue moves 5% at half resolution
-    with pytest.raises(ResolutionTooLowError):
+    with pytest.raises(UnderResolvedError):
         spectral.sphere_laplacian_oracle(-3, 5, n_phi=40)
 
 
@@ -171,13 +172,13 @@ def test_oracle_refuses_a_split_cluster():
 def test_oracle_answers_only_with_the_true_multiplicities(m):
     # every l_cut <= 8 at every n_phi in 20..60, where the grid may split a
     # cluster: an answer has the clusters of the closed form, with centres
-    # within the cluster tolerance; a split is a ResolutionTooLowError
+    # within the cluster tolerance; a split is an UnderResolvedError
     for l_cut in range(abs(m), 9, 2):
         want = oracles.kuwabara_eigenvalues(m, (l_cut - abs(m)) // 2)
         for n_phi in range(20, 61):
             try:
                 osp = spectral.sphere_laplacian_oracle(m, l_cut, n_phi)
-            except ResolutionTooLowError:
+            except UnderResolvedError:
                 continue
             assert [c.size for c in osp.clusters] == [mult for _l, _lam, mult in want]
             for c, (_l, lam, _mult) in zip(osp.clusters, want):
@@ -192,7 +193,7 @@ def test_oracle_rejects_bad_n_phi(n_phi):
 
 @pytest.mark.parametrize("n_phi", [2, 16])
 def test_oracle_small_n_phi_is_under_resolved(n_phi):
-    with pytest.raises(ResolutionTooLowError):
+    with pytest.raises(UnderResolvedError):
         spectral.sphere_laplacian_oracle(0, 4, n_phi=n_phi)
 
 
