@@ -225,19 +225,14 @@ def winding_number(m: AbelianMonopole, radius: float) -> int:
     return -inside
 
 
-class RescaledPair:
-    """Pull-back of a monopole under the homothety of ratio lam: an evaluator
-    on R^2 x (R / 2 pi lam Z) with the Higgs field scaled as a 1-form."""
-
-    def __init__(self, monopole: AbelianMonopole, lam: float):
-        if not 0.0 < lam < math.inf:
-            raise ValueError(f"scaling ratio must be positive and finite, got {lam}")
-        self.monopole = monopole
-        self.lam = lam
-
-    def higgs(self, z: complex, t: float, tol: float = 1e-10) -> float:
-        p = CirclePoint3(complex(z) / self.lam, float(t) / self.lam)
-        return higgs(self.monopole, p, tol) / self.lam
+def rescaled_higgs(monopole: AbelianMonopole, lam: float, z: complex, t: float,
+                   tol: float = 1e-10) -> float:
+    """Higgs field at (z, t) of the pull-back of a monopole under the homothety of
+    ratio lam, on R^2 x (R / 2 pi lam Z), scaled as a 1-form: higgs(z/lam, t/lam)/lam.
+    Raises ValueError unless lam is finite and > 0."""
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"scaling ratio must be positive and finite, got {lam}")
+    return higgs(monopole, CirclePoint3(complex(z) / lam, float(t) / lam), tol) / lam
 
 
 def euclidean_limit_profile(r: float, t: float) -> float:
@@ -245,7 +240,7 @@ def euclidean_limit_profile(r: float, t: float) -> float:
     the pointwise limit of the rescaled periodic monopole as v -> infinity.
 
     For a unit charge at the origin, lam = v + a0/2 and rho < pi lam,
-    |RescaledPair(m, lam).higgs(z, t) - profile| <= zeta(3)/(2 pi lam) x/(1 - x),
+    |rescaled_higgs(m, lam, z, t) - profile| <= zeta(3)/(2 pi lam) x/(1 - x),
     x = (rho/(2 pi lam))^2: the rescaled field is the profile minus
     (1/lam) sum_{j>=1} zeta(2j+1) (rho/lam)^2j P_2j(t/rho)/(2 pi)^(2j+1), G's
     regular part scaled, and |P_2j| <= 1, zeta(2j+1) <= zeta(3).

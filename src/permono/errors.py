@@ -13,12 +13,9 @@ class OutOfRegimeError(ValueError):
     """Point lies outside the validity region of the requested expansion."""
 
 
-class ExceptionalWeightError(ValueError):
-    """Weight coincides with an indicial root; the model problem is degenerate."""
-
-
 class WeightRangeError(ValueError):
-    """Weight parameter outside the admissible range of the model problem."""
+    """Weight parameter outside the admissible range of the model problem: not
+    finite, or on or too near an indicial root, where the problem degenerates."""
 
 
 class ToleranceUnreachableError(RuntimeError):

@@ -18,7 +18,8 @@ condition. Resolution rule: each solve passes the rate of its decaying branch
 
 All solvers fit their decay by one rule (``_log_slope``): the least-squares
 slope of log|u| over the tail-window nodes with |u| > 1e-280, nan when fewer
-than 8 qualify; the screened window keeps only nodes where f is negligible.
+than 8 qualify; the screened window keeps only nodes where f is negligible, and
+a screened domain with a source doubles in length, at most twice, until 8 do.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import ExceptionalWeightError, UnderResolvedError, WeightRangeError, require_integer
+from .errors import UnderResolvedError, WeightRangeError, require_integer
 
 _EXCEPTIONAL_GUARD = 1e-9
 
@@ -108,8 +109,18 @@ def _robin_solve(x0: float, x_max: float, mesh: float, drift, pot, f, phi: float
 class CylinderProblem:
     """Dirichlet data for -u'' + u' + lambda u = f on tau >= T, in the space of
     weight e^{delta tau}. It is uniquely solvable for gamma^- < delta < gamma^+, where
-    the default delta = -0.5 lies at every lambda >= 0; a delta outside raises, as does
-    a non-finite lambda or T."""
+    the default delta = -0.5 lies at every lambda >= 0. One check refuses every other
+    weight: unless gamma^- + g <= delta <= gamma^+ - g, g = _EXCEPTIONAL_GUARD, it
+    raises WeightRangeError (nan and +-inf fail the comparison too). A non-finite
+    lambda or T is a ValueError.
+
+    The a priori bound (Lockhart & McOwen 1985), from the energy identity with
+    phi = 0: v = e^{delta tau} u solves -v'' + (2 delta + 1) v' + v/C = e^{delta tau} f,
+    C(delta) = 1/((gamma^+ - delta)(delta - gamma^-)). Times v and integrated, v(T) = 0
+    drops the near end and the solver's Robin end u' = -gamma^+ u adds
+    (gamma^+ + 1/2) v(end)^2 >= 0, so ||e^{delta tau} u|| <= C(delta) ||e^{delta tau} f||.
+    C blows up like 1/distance at each root. test_cylinder_a_priori_bound checks the
+    bound, test_cylinder_a_priori_bound_is_sharp that it is sharp."""
 
     lam: float
     T: float = 0.0
@@ -121,15 +132,11 @@ class CylinderProblem:
         gp, gm = gamma_roots(self.lam)
         if not math.isfinite(self.T):
             raise ValueError(f"T must be finite, got {self.T}")
-        if not math.isfinite(self.delta):
-            raise WeightRangeError(f"delta must be finite, got {self.delta}")
-        if min(abs(self.delta - gp), abs(self.delta - gm)) < _EXCEPTIONAL_GUARD:
-            raise ExceptionalWeightError(
-                f"delta={self.delta} is an exceptional weight of lambda={self.lam}"
-            )
-        if not gm < self.delta < gp:
-            raise WeightRangeError(f"delta={self.delta} outside (gamma^-, gamma^+) = "
-                                   f"({gm}, {gp}) of lambda={self.lam}")
+        g = _EXCEPTIONAL_GUARD
+        if not gm + g <= self.delta <= gp - g:
+            raise WeightRangeError(
+                f"delta={self.delta} outside [gamma^- + {g}, gamma^+ - {g}] = [{gm + g}, {gp - g}] "
+                f"of lambda={self.lam}: a weight must be finite and off the indicial roots")
 
 
 @dataclass
@@ -137,7 +144,6 @@ class CylinderSolution:
     tau: np.ndarray
     u: np.ndarray
     decay_rate: float
-    gamma_plus: float
     mesh: float
 
 
@@ -150,7 +156,7 @@ def cylinder_solve(p: CylinderProblem, mesh: float) -> CylinderSolution:
     tau, u, h = _robin_solve(p.T, p.T + window, mesh, lambda x: 1.0, lambda x: p.lam,
                              p.f, p.phi, -gp, rate=gp)
     sel = slice(int(0.5 * tau.size), int(0.8 * tau.size))
-    return CylinderSolution(tau, u, -_log_slope(tau[sel], u[sel]), gp, h)
+    return CylinderSolution(tau, u, -_log_slope(tau[sel], u[sel]), h)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +234,6 @@ def exterior_diagonal_solve(p: ExteriorModeProblem, mesh: float) -> ExteriorSolu
 class CoerciveSolution:
     r: np.ndarray
     u: np.ndarray
-    mu: float
     energy_u: float
     energy_f: float
     energy_ratio: float
@@ -243,26 +248,38 @@ def exterior_coercive_solve(p: ExteriorModeProblem, mesh: float) -> CoerciveSolu
     (|u'|^2 + (mu^2 + n^2/r^2) u^2 measure r dr) / |f|^2, inf when only f = 0,
     and the fitted exponential decay slope of sqrt(r) u beyond the source
     support, at the nodes where |f| <= 1e-14 mu^2 |u|: where u ~ f/mu^2 still
-    follows the source the slope would be the source's."""
+    follows the source the slope would be the source's. When fewer than 8 nodes
+    pass with a source, the domain's length doubles, at most twice.
+
+    The a priori bound, from the energy identity with phi = 0: times u r and
+    integrated, the Robin end adds (mu + 1/(2 r_max)) u^2 r >= 0 to the energy E,
+    so E <= |f| |u| <= |f| sqrt(E)/mu (norms in r dr, E >= mu^2 |u|^2), and
+    energy_ratio = E/|f|^2 <= 1/mu^2.
+    test_coercive_a_priori_bound checks it, test_coercive_a_priori_bound_is_sharp
+    that it is sharp."""
     if not p.sector.mass_sq > 0.0:
         raise ValueError("exterior_coercive_solve needs a screened sector, mu > 0")
     mu, n_mode = math.sqrt(p.sector.mass_sq), abs(p.sector.mode)
     r_max = max(10.0 * p.R, p.R + 16.0 / mu)
     pot = lambda r: (n_mode / r) ** 2 + mu * mu
-    r, u, h = _robin_solve(p.R, r_max, mesh, lambda r: -1.0 / r, pot, p.f, p.phi,
-                           -(mu + 0.5 / r_max), rate=mu)
+    for _ in range(3):
+        r, u, h = _robin_solve(p.R, r_max, mesh, lambda r: -1.0 / r, pot, p.f, p.phi,
+                               -(mu + 0.5 / r_max), rate=mu)
+        f_all = np.zeros(r.size)
+        if p.f is not None:
+            f_all[:] = p.f(r)
+        supp = np.nonzero(np.abs(f_all) > 1e-14 * max(np.abs(f_all).max(), 1e-300))[0]
+        fit_lo = r[supp[-1]] + 1.0 if supp.size else p.R + 1.0
+        sel = (r >= fit_lo) & (r <= r_max - 2.0) & (np.abs(f_all) <= 1e-14 * mu * mu * np.abs(u))
+        slope = _log_slope(r[sel], np.sqrt(r[sel]) * u[sel])
+        if p.f is None or not math.isnan(slope):
+            break
+        r_max = 2.0 * r_max - p.R
     du = np.gradient(u, h)
     energy_u = float(np.trapezoid((du**2 + pot(r) * u**2) * r, dx=h))
-    f_all = np.zeros(r.size)
-    if p.f is not None:
-        f_all[:] = p.f(r)
     energy_f = float(np.trapezoid(f_all**2 * r, dx=h))
     ratio = energy_u / energy_f if energy_f > 0.0 else math.inf if energy_u > 0.0 else 0.0
-    supp = np.nonzero(np.abs(f_all) > 1e-14 * max(np.abs(f_all).max(), 1e-300))[0]
-    fit_lo = r[supp[-1]] + 1.0 if supp.size else p.R + 1.0
-    sel = (r >= fit_lo) & (r <= r_max - 2.0) & (np.abs(f_all) <= 1e-14 * mu * mu * np.abs(u))
-    slope = _log_slope(r[sel], np.sqrt(r[sel]) * u[sel])
-    return CoerciveSolution(r, u, mu, energy_u, energy_f, ratio, slope, h)
+    return CoerciveSolution(r, u, energy_u, energy_f, ratio, slope, h)
 
 
 # ---------------------------------------------------------------------------

@@ -48,25 +48,13 @@ class SpectrumEntry:
     multiplicity: int
 
 
-@dataclass
-class WeightSpectrum:
-    """Indexed eigenvalues of L and the indicial roots, for charge m
-    (m = 0 is the diagonal sector)."""
-
-    m: int
-    entries: list[SpectrumEntry]
-
-
-def operator_L_spectrum(m: int, j_max: int) -> WeightSpectrum:
-    """Eigenvalues l(l+2)/4 of L = (sphere Laplacian, Bochner + m^2/4) and the
-    exceptional weights gamma_j^+- of the indicial equation g^2 + g = lambda."""
+def operator_L_spectrum(m: int, j_max: int) -> list[SpectrumEntry]:
+    """Eigenvalues l(l+2)/4 of L = (sphere Laplacian, Bochner + m^2/4) for charge m
+    (m = 0 is the diagonal sector) and the exceptional weights gamma_j^+- of the
+    indicial equation g^2 + g = lambda, for j = 0..j_max."""
     m, j_max = require_integer("m", m), require_integer("j_max", j_max, least=0)
-    entries = []
-    for j in range(j_max + 1):
-        l = abs(m) + 2 * j
-        lam = l * (l + 2) / 4.0
-        entries.append(SpectrumEntry(j, l, lam, l / 2.0, -(l + 2) / 2.0, l + 1))
-    return WeightSpectrum(m, entries)
+    return [SpectrumEntry(j, l, l * (l + 2) / 4.0, l / 2.0, -(l + 2) / 2.0, l + 1)
+            for j, l in enumerate(range(abs(m), abs(m) + 2 * j_max + 1, 2))]
 
 
 @dataclass(frozen=True)
@@ -111,7 +99,6 @@ class OracleCluster:
 
 @dataclass
 class OracleSpectrum:
-    m: int
     eigenvalues: np.ndarray
     clusters: list[OracleCluster]
 
@@ -188,4 +175,4 @@ def sphere_laplacian_oracle(m: int, l_cut: int, n_phi: int = 600) -> OracleSpect
         if i == vals.size or abs(vals[i] - vals[i - 1]) > _CLUSTER_TOL * ref:
             clusters.append(OracleCluster(float(np.mean(vals[start:i])), i - start))
             start = i
-    return OracleSpectrum(m, vals, clusters)
+    return OracleSpectrum(vals, clusters)

@@ -564,16 +564,15 @@ def test_translated_asymptotics_dipole_antisymmetry():
 
 def test_rescale_identity():
     m = unit_monopole(v=2.0)
-    ev = abelian.RescaledPair(m, 1.0)
     p = CirclePoint3(1.0 + 0.2j, 0.7)
-    assert ev.higgs(p.z, p.t) == abelian.higgs(m, p)
+    assert abelian.rescaled_higgs(m, 1.0, p.z, p.t) == abelian.higgs(m, p)
 
 
 def test_rescale_rejects_bad_ratio():
     m = AbelianMonopole([DiracTerm(CirclePoint3(1.0, 0.0), 1)], v=1.0)
     for lam in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
-            abelian.RescaledPair(m, lam)
+            abelian.rescaled_higgs(m, lam, 1.0, 0.0)
     with pytest.raises(SingularPointError):
         abelian.euclidean_limit_profile(0.0, 0.0)
     for r, t in ((math.inf, 0.0), (math.nan, 0.0), (0.3, math.inf), (0.3, -math.inf), (0.0, math.nan)):
@@ -584,10 +583,9 @@ def test_rescale_rejects_bad_ratio():
 def test_rescale_large_mass_euclidean_limit():
     v = 100.0
     lam = v + 0.5 * green.A0
-    ev = abelian.RescaledPair(unit_monopole(v=v), lam)
     r, t = 0.3, 0.2
     lim = abelian.euclidean_limit_profile(r, t)
-    assert abs(ev.higgs(complex(r), t) - lim) <= 0.02
+    assert abs(abelian.rescaled_higgs(unit_monopole(v=v), lam, complex(r), t) - lim) <= 0.02
 
 
 def test_rescale_doubling_mass_halves_discrepancy():
@@ -596,7 +594,7 @@ def test_rescale_doubling_mass_halves_discrepancy():
     lim = abelian.euclidean_limit_profile(r, t)
 
     def dev(v):
-        return abs(abelian.RescaledPair(unit_monopole(v=v), v).higgs(complex(r), t) - lim)
+        return abs(abelian.rescaled_higgs(unit_monopole(v=v), v, complex(r), t) - lim)
 
     assert dev(100.0) / dev(200.0) == pytest.approx(2.0, abs=0.1)
 
@@ -612,7 +610,7 @@ def test_euclidean_limit_profile_rate(v, s, polar, az):
     lam = v + 0.5 * green.A0
     r, t = s * lam * math.sin(polar), s * lam * math.cos(polar)
     tol = 1e-12
-    dev = abs(abelian.RescaledPair(unit_monopole(v=v), lam).higgs(r * cmath.exp(1j * az), t, tol)
+    dev = abs(abelian.rescaled_higgs(unit_monopole(v=v), lam, r * cmath.exp(1j * az), t, tol)
               - abelian.euclidean_limit_profile(r, t))
     rho = math.hypot(r, t)
     x = (rho / (TWO_PI * lam)) ** 2
@@ -675,3 +673,96 @@ def test_bogomolny_center_guard_checks_every_node():
     box = ((2.0, 3.2), (-1.2, 1.2), (-0.6, 0.6))
     with pytest.raises(OutOfRegimeError, match="too close to a singular center"):
         abelian.bogomolny_residual(unit_monopole(), box, 0.6)
+
+
+# The Bogomolny equation in integral form: with *F = d phi, the flux of grad phi
+# out of a closed surface off the singularities that does not wrap the circle is
+# 2 pi times the enclosed charge (the pole -1/(2 rho) of G carries flux 2 pi), and
+# out of the cylinder |z| = R over one period it is -2 pi winding_number(m, R).
+# The allowance of each check is a quadrature error measured at its node count
+# and gap, 2 pi q sum |k_j|, plus area * sum |k_j| * tol for G's truncation.
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+
+
+def sphere_flux(m, z0, t0, R, tol):
+    """Flux of higgs_gradient out of the sphere of radius R about (z0, t0): 48
+    Gauss-Legendre nodes in the cosine of the polar angle (along t) times 96
+    trapezoid nodes in the azimuth."""
+    flux = 0.0
+    for c, w in zip(GL_NODES, GL_WEIGHTS):
+        s = math.sqrt(1.0 - c * c)
+        for a in np.arange(96) * (TWO_PI / 96):
+            n = np.array([s * math.cos(a), s * math.sin(a), c])
+            grad = abelian.higgs_gradient(m, CirclePoint3(z0 + R * complex(n[0], n[1]), t0 + R * c), tol)
+            flux += w * float(grad @ n)
+    return flux * R * R * (TWO_PI / 96)
+
+
+def cylinder_flux(m, R, tol):
+    """Flux of higgs_gradient out of the cylinder |z| = R over one period, by the
+    64 x 64 trapezoid rule in the polar angle and in t."""
+    nodes = np.arange(64) * (TWO_PI / 64)
+    flux = 0.0
+    for a in nodes:
+        n = np.array([math.cos(a), math.sin(a), 0.0])
+        for t in nodes:
+            flux += float(abelian.higgs_gradient(m, CirclePoint3(R * complex(n[0], n[1]), t), tol) @ n)
+    return flux * R * (TWO_PI / 64) ** 2
+
+
+@settings(max_examples=6, deadline=None)
+@given(k=st.sampled_from([-2, -1, 1, 2]), x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0),
+       t=st.floats(0.0, TWO_PI), R=st.floats(0.1, 0.4), cos_polar=st.floats(-1.0, 1.0),
+       az=st.floats(0.0, TWO_PI), gap=st.floats(0.3, 0.8), inside=st.booleans())
+def test_gauss_law_on_a_small_sphere(k, x, y, t, R, cos_polar, az, gap, inside):
+    # the charge lies gap * R inside or outside the sphere. Near a Coulomb pole
+    # the quadrature error depends on gap alone: over 35 directions at gap 0.3
+    # it was at most 6.5e-14 (inside) and 4.8e-11 (outside) per unit charge,
+    # so q = 1e-10
+    tol = 1e-12
+    s = math.sqrt(1.0 - cos_polar * cos_polar)
+    d = R * (1.0 - gap if inside else 1.0 + gap)
+    m = AbelianMonopole([DiracTerm(CirclePoint3(complex(x, y), t), k)])
+    flux = sphere_flux(m, complex(x, y) - d * s * cmath.exp(1j * az), t - d * cos_polar, R, tol)
+    allowance = TWO_PI * 1e-10 * abs(k) + 4.0 * math.pi * R * R * abs(k) * tol
+    assert abs(flux - TWO_PI * (k if inside else 0)) <= allowance
+
+
+def test_gauss_law_across_the_image_sum_shell():
+    # the sphere of radius 1.6 about a unit charge runs through the series, the
+    # image-sum shell and Fourier-Bessel; 64 x 128 nodes moved flux/2pi - 1 from
+    # 5.5e-12 to 2.0e-12, so q = 1e-11
+    tol, R = 1e-12, 1.6
+    flux = sphere_flux(unit_monopole(), 0j, 0.0, R, tol)
+    assert abs(flux - TWO_PI) <= TWO_PI * 1e-11 + 4.0 * math.pi * R * R * tol
+
+
+@pytest.mark.parametrize("z0, t0, R, enclosed", [
+    (0.9 + 0.6j, 0.3, 0.1, -1),  # one centre; the others lie 1.1 and more away
+    (0j, 0.0, 1.5, 2),  # every centre, the nearest two 0.25 R and 0.28 R inside
+])
+def test_gauss_law_of_the_three_term_monopole(z0, t0, R, enclosed):
+    # each of the three G's runs at tol/3, and the series refuses tol/3 < 1e-12
+    # near a centre, so tol = 3e-12; flux/2pi - enclosed was 2.1e-13 and 1.1e-11,
+    # and q = 1e-11 per unit charge (sum |k_j| = 4)
+    tol = 3e-12
+    flux = sphere_flux(three_term_monopole(), z0, t0, R, tol)
+    assert abs(flux - TWO_PI * enclosed) <= 4.0 * (TWO_PI * 1e-11 + 4.0 * math.pi * R * R * tol)
+
+
+@pytest.mark.parametrize("make, R", [
+    (unit_monopole, 5.0),
+    (lambda: AbelianMonopole([DiracTerm(CirclePoint3(1.6 + 0.2j, 1.0), 1)]), 0.7),
+    (lambda: AbelianMonopole([DiracTerm(CirclePoint3(1.6 + 0.2j, 1.0), 1)]), 3.0),
+    (three_term_monopole, 0.53),
+    (three_term_monopole, 2.0),
+])
+def test_winding_is_the_cylinder_flux(make, R):
+    # every centre is at least 0.53 off the cylinder, where G is Fourier-Bessel
+    # and the periodic trapezoid rule converges fast: flux/2pi + winding was
+    # below 1e-14 in every case, so q = 1e-12
+    m, tol = make(), 3e-12
+    ks = sum(abs(term.charge) for term in m.terms)
+    allowance = ks * (TWO_PI * 1e-12 + TWO_PI * R * TWO_PI * tol)
+    assert abs(cylinder_flux(m, R, tol) + TWO_PI * abelian.winding_number(m, R)) <= allowance

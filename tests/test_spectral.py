@@ -23,9 +23,9 @@ def test_kuwabara_examples():
 
 
 def test_operator_spectrum_entries():
-    s0 = spectral.operator_L_spectrum(0, 0).entries[0]
+    s0 = spectral.operator_L_spectrum(0, 0)[0]
     assert (s0.lam, s0.gamma_plus, s0.gamma_minus) == (0.0, 0.0, -1.0)
-    s1 = spectral.operator_L_spectrum(1, 0).entries[0]
+    s1 = spectral.operator_L_spectrum(1, 0)[0]
     assert (s1.lam, s1.gamma_plus, s1.gamma_minus) == (0.75, 0.5, -1.5)
     assert s1.multiplicity == 2
 
@@ -34,7 +34,7 @@ def test_root_identities_exact():
     import math
 
     for m in range(-6, 7):
-        for e in spectral.operator_L_spectrum(m, 20).entries:
+        for e in spectral.operator_L_spectrum(m, 20):
             assert e.gamma_plus == e.j + abs(m) / 2.0
             assert e.gamma_minus == -e.j - 1.0 - abs(m) / 2.0
             assert e.gamma_plus + e.gamma_minus == -1.0
@@ -76,7 +76,7 @@ def _scan_exceptional(delta, m, j_max, tol=1e-12):
     """The nearest root by a scan of every weight, first of equals winning,
     on exact distances: rounded ones can tie where the exact ones do not."""
     d = Fraction(delta)
-    ws = [w for e in spectral.operator_L_spectrum(m, j_max).entries
+    ws = [w for e in spectral.operator_L_spectrum(m, j_max)
           for w in (e.gamma_plus, e.gamma_minus)]
     nearest = min(ws, key=lambda w: abs(Fraction(w) - d))
     dist = float(abs(Fraction(nearest) - d))
@@ -110,7 +110,7 @@ def test_is_exceptional_matches_weight_scan(q, tol):
 def test_interval_free_of_weights():
     for m in (1, 2, 3, 4, 5, 6):
         lo, hi = -1.0 - m / 2.0, m / 2.0
-        for e in spectral.operator_L_spectrum(m, 40).entries:
+        for e in spectral.operator_L_spectrum(m, 40):
             assert not (lo < e.gamma_plus < hi) and not (lo < e.gamma_minus < hi)
 
 
